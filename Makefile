@@ -29,12 +29,13 @@ bench:
 
 # Documentation gate: markdown links in the top-level docs and the
 # docs/ reference pages must resolve, and every exported identifier
-# in the optimizer, estimator, distribution, execution, serving,
-# result-cache and tracing packages must carry a doc comment.
+# in the public facade and in the wiring, optimizer, estimator,
+# distribution, execution, serving, result-cache, simulated-world and
+# tracing packages must carry a doc comment.
 docscheck:
 	$(GO) run ./cmd/docscheck \
 		-md README.md,ARCHITECTURE.md,ROADMAP.md,docs/API.md,docs/OPERATIONS.md \
-		-pkg ./internal/opt,./internal/card,./internal/dist,./internal/exec,./internal/serve,./internal/rescache,./internal/trace
+		-pkg .,./internal/boot,./internal/opt,./internal/card,./internal/dist,./internal/exec,./internal/serve,./internal/rescache,./internal/simweb,./internal/trace
 
 # Distributed-optimization smoke: the coordinator/worker protocol
 # under the race detector — two-plus-worker LocalTransport clusters

@@ -37,7 +37,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"mdq/internal/card"
@@ -90,7 +90,7 @@ func main() {
 			log.Fatal("-query is required with -remote")
 		}
 	} else {
-		reg, text, err = world(*worldName)
+		reg, text, err = simweb.Open(*worldName, simweb.TravelOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func runQuery(ctx context.Context, reg *service.Registry, sch *schema.Schema, q 
 			log.Fatal(err)
 		}
 		for _, r := range out.Rows {
-			rows = append(rows, render(r))
+			rows = append(rows, schema.FormatRow(r))
 		}
 		calls = out.Stats.Calls
 		extra = fmt.Sprintf("virtual makespan: %.1fs", out.Makespan.Seconds())
@@ -279,7 +279,7 @@ func runQuery(ctx context.Context, reg *service.Registry, sch *schema.Schema, q 
 			log.Fatal(err)
 		}
 		for _, row := range out.Rows {
-			rows = append(rows, render(row))
+			rows = append(rows, schema.FormatRow(row))
 		}
 		calls = out.Stats.Calls
 		extra = fmt.Sprintf("wall time: %s", out.Elapsed)
@@ -308,7 +308,7 @@ func runQuery(ctx context.Context, reg *service.Registry, sch *schema.Schema, q 
 			fmt.Println("feedback: no profile drifted enough to refresh")
 		} else {
 			fmt.Print("feedback: refreshed epochs")
-			for _, svc := range sortedEpochKeys(epochs) {
+			for _, svc := range sortedKeys(epochs) {
 				st, _ := reg.Lookup(svc)
 				fmt.Printf(" %s@%d(ξ=%.2f)", svc, epochs[svc], st.Signature().Statistics().ERSPI)
 			}
@@ -322,60 +322,12 @@ func runQuery(ctx context.Context, reg *service.Registry, sch *schema.Schema, q 
 	}
 }
 
-func sortedEpochKeys(m map[string]uint64) []string {
+// sortedKeys returns the map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
-	return out
-}
-
-func render(row []schema.Value) []string {
-	out := make([]string, len(row))
-	for i, v := range row {
-		switch v.Kind {
-		case schema.StringValue:
-			out[i] = v.Str
-		case schema.DateValue:
-			out[i] = v.Time().Format("2006-01-02")
-		default:
-			out[i] = strings.TrimSuffix(fmt.Sprintf("%.2f", v.Num), ".00")
-		}
-	}
-	return out
-}
-
-func world(name string) (*service.Registry, string, error) {
-	switch name {
-	case "travel":
-		w := simweb.NewTravelWorld(simweb.TravelOptions{})
-		return w.Registry, simweb.RunningExampleText, nil
-	case "bio":
-		w := simweb.NewBioWorld()
-		return w.Registry, simweb.BioExampleText, nil
-	case "mashup":
-		w := simweb.NewMashupWorld()
-		return w.Registry, simweb.MashupExampleText, nil
-	case "zipf":
-		w := simweb.NewZipfWorld(0, 0, 0)
-		return w.Registry, simweb.ZipfExampleText, nil
-	default:
-		return nil, "", fmt.Errorf("unknown world %q", name)
-	}
-}
-
-func sortedKeys(m map[string]int64) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
+	slices.Sort(out)
 	return out
 }

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	mdqserve [-addr :8080] [-world travel|bio|mashup] [-scale 0.001]
+//	mdqserve [-addr :8080] [-world travel|bio|mashup|zipf] [-scale 0.001]
 //	         [-parallel -1] [-plancache 128] [-cachettl 0]
 //	         [-cachebytes 0] [-revalidate-ratio 4] [-feedback]
 //	         [-workers http://w1:8090,http://w2:8091] [-cache-file plans.json]
@@ -111,8 +111,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -122,14 +122,13 @@ import (
 	"syscall"
 	"time"
 
+	"mdq/internal/boot"
 	"mdq/internal/card"
 	"mdq/internal/cost"
 	"mdq/internal/cq"
 	"mdq/internal/dist"
 	"mdq/internal/exec"
-	"mdq/internal/httpwrap"
 	"mdq/internal/opt"
-	"mdq/internal/rescache"
 	"mdq/internal/schema"
 	"mdq/internal/serve"
 	"mdq/internal/service"
@@ -139,92 +138,43 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		worldName  = flag.String("world", "travel", "built-in world: travel, bio, mashup or zipf")
-		scale      = flag.Float64("scale", 0, "sleep scale for simulated latencies (0 = report only)")
-		jitter     = flag.Float64("jitter", 0, "log-normal latency jitter sigma")
-		parallel   = flag.Int("parallel", opt.AutoParallelism, "optimizer search workers (-1 = one per CPU, 1 = sequential)")
-		planCache  = flag.Int("plancache", 128, "plan cache capacity in entries (0 disables)")
-		cacheTTL   = flag.Duration("cachettl", 0, "plan cache entry TTL (0 = no expiry)")
-		cacheBytes = flag.Int64("cachebytes", 0, "approximate plan cache byte budget (0 = unlimited)")
-		revalRatio = flag.Float64("revalidate-ratio", opt.DefaultRevalidateRatio, "template-cache cost divergence triggering a fresh search")
-		feedback   = flag.Bool("feedback", true, "fold executed traffic back into service profiles (stats epochs)")
-		minCalls   = flag.Int64("feedback-min-calls", 4, "observed calls required before a profile refresh")
-		minDrift   = flag.Float64("feedback-min-drift", 0.1, "relative statistics drift required before a refresh")
-		workerList = flag.String("workers", "", "comma-separated mdqworker base URLs; enables coordinator mode")
-		healthIvl  = flag.Duration("health-interval", dist.DefaultHealthInterval, "worker health-probe period in coordinator mode (0 disables active probing; passive RPC feedback still applies)")
-		maxRetries = flag.Int("max-retries", dist.DefaultMaxRetries, "re-attempts for a transiently failed worker dispatch (0 disables retries)")
-		bufferSize = flag.Int("buffer", exec.DefaultBufferSize, "streaming executor edge buffer in tuples (larger = fewer stalls, more memory; smaller = tighter memory, earlier backpressure)")
-		cacheFile  = flag.String("cache-file", "", "load the template cache from this file at start and save it on SIGINT/SIGTERM")
-
-		rescacheN     = flag.Int("rescache", rescache.DefaultMaxEntries, "shared service-call result cache capacity in entries (0 disables)")
-		rescacheBytes = flag.Int64("rescache-bytes", rescache.DefaultMaxBytes, "approximate result cache byte budget (<0 = unlimited)")
-		rescacheTTL   = flag.Duration("rescache-ttl", 0, "result cache entry TTL (0 = no expiry; epochs still invalidate)")
-		coalesce      = flag.Bool("coalesce", true, "coalesce identical concurrent /query requests onto one optimize+execute")
-
-		maxInFlight  = flag.Int("max-inflight", 64, "max concurrent /optimize and /query requests (0 = unlimited)")
-		queueWait    = flag.Duration("queue-wait", time.Second, "max time a request waits for an in-flight slot before 429")
-		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight requests on shutdown")
-		slowlogCap   = flag.Int("slowlog", 128, "slow-query log capacity (GET /slowlog)")
-		slowAbove    = flag.Duration("slow-above", 0, "only log requests at least this slow (0 = log all)")
-		defDeadline  = flag.Duration("default-deadline", 0, "default per-query deadline when requests set no deadline_ms (0 = none)")
-		defMaxCalls  = flag.Int64("default-max-calls", 0, "default per-query service-call cap when requests set no max_calls (0 = none)")
-		traceSample  = flag.Float64("trace-sample", 0, "fraction of requests to trace unasked (0 = only explicit or slowlog-qualifying; 1 = all)")
-		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
+		addr        = flag.String("addr", ":8080", "listen address")
+		jitter      = flag.Float64("jitter", 0, "log-normal latency jitter sigma")
+		revalRatio  = flag.Float64("revalidate-ratio", opt.DefaultRevalidateRatio, "template-cache cost divergence triggering a fresh search")
+		workerList  = flag.String("workers", "", "comma-separated mdqworker base URLs; enables coordinator mode")
+		healthIvl   = flag.Duration("health-interval", dist.DefaultHealthInterval, "worker health-probe period in coordinator mode (0 disables active probing; passive RPC feedback still applies)")
+		maxRetries  = flag.Int("max-retries", dist.DefaultMaxRetries, "re-attempts for a transiently failed worker dispatch (0 disables retries)")
+		coalesce    = flag.Bool("coalesce", true, "coalesce identical concurrent /query requests onto one optimize+execute")
+		maxInFlight = flag.Int("max-inflight", 64, "max concurrent /optimize and /query requests (0 = unlimited)")
+		queueWait   = flag.Duration("queue-wait", time.Second, "max time a request waits for an in-flight slot before 429")
+		slowlogCap  = flag.Int("slowlog", 128, "slow-query log capacity (GET /slowlog)")
+		slowAbove   = flag.Duration("slow-above", 0, "only log requests at least this slow (0 = log all)")
+		defDeadline = flag.Duration("default-deadline", 0, "default per-query deadline when requests set no deadline_ms (0 = none)")
+		defMaxCalls = flag.Int64("default-max-calls", 0, "default per-query service-call cap when requests set no max_calls (0 = none)")
+		traceSample = flag.Float64("trace-sample", 0, "fraction of requests to trace unasked (0 = only explicit or slowlog-qualifying; 1 = all)")
 	)
+	flags := boot.Register(flag.CommandLine)
 	flag.Parse()
 
-	var reg *service.Registry
-	switch *worldName {
-	case "travel":
-		reg = simweb.NewTravelWorld(simweb.TravelOptions{JitterSigma: *jitter}).Registry
-	case "bio":
-		reg = simweb.NewBioWorld().Registry
-	case "mashup":
-		reg = simweb.NewMashupWorld().Registry
-	case "zipf":
-		reg = simweb.NewZipfWorld(0, 0, 0).Registry
-	default:
-		log.Fatalf("unknown world %q", *worldName)
+	obs := newObservability(*maxInFlight, *queueWait, *slowlogCap, *slowAbove, *traceSample)
+	node, err := flags.Build(simweb.TravelOptions{JitterSigma: *jitter}, obs.metrics)
+	if err != nil {
+		log.Fatal(err)
 	}
-	reg.ObserveAll()
-
-	mux, names := httpwrap.ServeRegistry(reg, httpwrap.HandlerOptions{SleepScale: *scale})
-	var pc *opt.PlanCache
-	if *planCache > 0 {
-		pc = opt.NewPlanCacheWith(opt.Policy{Capacity: *planCache, TTL: *cacheTTL, MaxBytes: *cacheBytes})
-		reg.SubscribeEpochs(pc, pc.InvalidateService)
-	}
-	if *cacheFile != "" && pc != nil {
-		if n, err := pc.LoadFile(*cacheFile, reg); err != nil {
-			if !os.IsNotExist(err) {
-				log.Fatalf("loading cache file: %v", err)
-			}
-		} else {
-			fmt.Printf("warmed %d template entries from %s\n", n, *cacheFile)
-		}
-	}
+	reg, pc, mux := node.Registry, node.PlanCache, node.Mux
 	srv := &optimizeServer{
 		reg:         reg,
 		cache:       pc,
-		parallel:    *parallel,
+		parallel:    flags.Parallel,
 		revalRatio:  *revalRatio,
-		buffer:      *bufferSize,
+		feedback:    node.Feedback,
+		buffer:      flags.Buffer,
 		defDeadline: *defDeadline,
 		defMaxCalls: *defMaxCalls,
-	}
-	if *feedback {
-		srv.feedback = &service.FeedbackPolicy{MinCalls: *minCalls, MinDrift: *minDrift}
-	}
-	obs := newObservability(*maxInFlight, *queueWait, *slowlogCap, *slowAbove, *traceSample)
-	if *rescacheN != 0 {
 		// The shared result cache serves single-process executions; in
 		// coordinator mode the equivalent store lives on each worker
 		// (mdqworker -rescache), where the service calls actually happen.
-		store := rescache.New(rescache.Config{MaxEntries: *rescacheN, MaxBytes: *rescacheBytes, TTL: *rescacheTTL})
-		store.Observer = rescache.MetricsObserver(obs.metrics)
-		store.Bind(reg)
-		srv.rescache = store
+		rescache: node.ResultCache,
 	}
 	if *coalesce {
 		srv.coalescer = &serve.Coalescer{}
@@ -334,15 +284,7 @@ func main() {
 	mux.Handle("/trace", obs.traces.Handler())
 	mux.Handle("/trace/", obs.traces.Handler())
 	mux.Handle("/events", obs.events.Handler())
-	if *pprofFlag {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		fmt.Printf("pprof enabled on /debug/pprof/\n")
-	}
-	fmt.Printf("serving %s world (%v) on %s\n", *worldName, names, *addr)
+	fmt.Printf("serving %s world (%v) on %s\n", flags.World, node.Services, *addr)
 	if len(srv.workers) > 0 {
 		fmt.Printf("coordinator mode: sharding optimizations across %d workers\n", len(srv.workers))
 	}
@@ -350,45 +292,14 @@ func main() {
 	fmt.Printf("           POST /optimize, POST /query, GET /cache, GET /stats, GET /optimize/stats,\n")
 	fmt.Printf("           GET /metrics, GET /slowlog, GET /trace, GET /events, GET /fleet\n")
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		log.Fatal(err)
-	case s := <-sig:
-		fmt.Printf("received %v: draining in-flight requests\n", s)
 	}
-
-	// Graceful shutdown: stop admitting (new requests shed with 503),
-	// drain what is already running, then flush pending feedback into
-	// the profiles and persist the template cache — in that order, so
-	// persisted entries carry the statistics the server actually
-	// learned.
-	obs.admission.StartDrain()
-	sdCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(sdCtx); err != nil {
-		log.Printf("shutdown: %v", err)
-	}
-	if err := obs.admission.Drain(sdCtx); err != nil {
-		log.Printf("draining admissions: %v", err)
-	}
-	if n := reg.RefreshObserved(); n > 0 {
-		fmt.Printf("flushed pending feedback into %d profile(s)\n", n)
-	}
-	if *cacheFile != "" && pc != nil {
-		if err := pc.SaveFile(*cacheFile); err != nil {
-			log.Fatalf("saving cache file: %v", err)
-		}
-		fmt.Printf("saved template cache to %s\n", *cacheFile)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := node.Run(ctx, ln, obs.admission); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -891,7 +802,7 @@ func (s *optimizeServer) runQuery(ctx context.Context, q *cq.Query, m cost.Metri
 			resp.Head = append(resp.Head, string(v))
 		}
 		for _, row := range out.Rows {
-			resp.Rows = append(resp.Rows, renderRow(row))
+			resp.Rows = append(resp.Rows, schema.FormatRow(row))
 		}
 		for _, v := range out.Stats.Calls {
 			st.Calls += v
@@ -903,21 +814,6 @@ func (s *optimizeServer) runQuery(ctx context.Context, q *cq.Query, m cost.Metri
 		resp.Epochs = s.reg.Epochs()
 	}
 	return resp, nil
-}
-
-func renderRow(row []schema.Value) []string {
-	out := make([]string, len(row))
-	for i, v := range row {
-		switch v.Kind {
-		case schema.StringValue:
-			out[i] = v.Str
-		case schema.DateValue:
-			out[i] = v.Time().Format("2006-01-02")
-		default:
-			out[i] = strings.TrimSuffix(strconv.FormatFloat(v.Num, 'f', 2, 64), ".00")
-		}
-	}
-	return out
 }
 
 func (s *optimizeServer) cacheStats(w http.ResponseWriter, r *http.Request) {

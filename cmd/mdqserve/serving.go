@@ -91,37 +91,6 @@ func statsFrom(ctx context.Context) *reqStats {
 	return &reqStats{}
 }
 
-// countingWriter tracks the status code and body bytes a handler
-// produced.
-type countingWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (cw *countingWriter) WriteHeader(status int) {
-	if cw.status == 0 {
-		cw.status = status
-	}
-	cw.ResponseWriter.WriteHeader(status)
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	if cw.status == 0 {
-		cw.status = http.StatusOK
-	}
-	n, err := cw.ResponseWriter.Write(p)
-	cw.bytes += int64(n)
-	return n, err
-}
-
-// Flush lets streaming handlers keep flushing through the wrapper.
-func (cw *countingWriter) Flush() {
-	if f, ok := cw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // shed writes the backpressure response for a rejected request: 429
 // with Retry-After when the gate is saturated, 503 when the server is
 // draining.
@@ -176,7 +145,7 @@ func (o *observability) instrument(endpoint string, h http.HandlerFunc) http.Han
 			st.Trace = trace.New("")
 			st.TraceRoot = st.Trace.Root(endpoint)
 		}
-		cw := &countingWriter{ResponseWriter: w}
+		cw := &serve.CountingWriter{ResponseWriter: w}
 		start := time.Now()
 		ctx := context.WithValue(r.Context(), reqStatsKey{}, st)
 		if st.TraceRoot != nil {
@@ -184,13 +153,11 @@ func (o *observability) instrument(endpoint string, h http.HandlerFunc) http.Han
 		}
 		h(cw, r.WithContext(ctx))
 		elapsed := time.Since(start)
-		if cw.status == 0 {
-			cw.status = http.StatusOK
-		}
+		status := cw.Status()
 
 		o.metrics.CounterL("mdq_requests_total",
 			"Requests by endpoint and status code.",
-			"endpoint", endpoint, "code", strconv.Itoa(cw.status)).Inc()
+			"endpoint", endpoint, "code", strconv.Itoa(status)).Inc()
 		o.metrics.HistogramL("mdq_request_seconds",
 			"End-to-end request latency.", nil, "endpoint", endpoint).Observe(elapsed.Seconds())
 		if st.Optimize > 0 {
@@ -214,7 +181,7 @@ func (o *observability) instrument(endpoint string, h http.HandlerFunc) http.Han
 				"Result rows returned to clients.").Add(float64(st.Rows))
 		}
 		o.metrics.Counter("mdq_bytes_streamed_total",
-			"Response body bytes streamed to clients.").Add(float64(cw.bytes))
+			"Response body bytes streamed to clients.").Add(float64(cw.Bytes))
 		if st.CacheClass != "" {
 			o.metrics.CounterL("mdq_plan_cache_serves_total",
 				"Optimizations by plan-cache outcome class.", "class", st.CacheClass).Inc()
@@ -227,7 +194,7 @@ func (o *observability) instrument(endpoint string, h http.HandlerFunc) http.Han
 			Time:            start,
 			Endpoint:        endpoint,
 			Query:           st.Query,
-			Status:          cw.status,
+			Status:          status,
 			Elapsed:         elapsed.Seconds(),
 			OptimizeSeconds: st.Optimize.Seconds(),
 			ExecuteSeconds:  st.Execute.Seconds(),
@@ -235,7 +202,7 @@ func (o *observability) instrument(endpoint string, h http.HandlerFunc) http.Han
 			Calls:           st.Calls,
 			CacheClass:      st.CacheClass,
 			Rows:            st.Rows,
-			Bytes:           cw.bytes,
+			Bytes:           cw.Bytes,
 		}
 		if st.Err != nil {
 			rec.Error = st.Err.Error()

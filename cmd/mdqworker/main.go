@@ -11,11 +11,16 @@
 // Usage:
 //
 //	mdqworker [-addr :8090] [-world travel|bio|mashup|zipf]
-//	          [-parallel 1] [-plancache 128] [-cachettl 0] [-cachebytes 0]
+//	          [-parallel -1] [-plancache 128] [-cachettl 0] [-cachebytes 0]
 //	          [-cache-file worker-cache.json] [-scale 0]
 //	          [-execute] [-buffer 128] [-feedback] [-feedback-min-calls 4]
 //	          [-feedback-min-drift 0.1] [-rescache 4096] [-rescache-bytes N]
-//	          [-rescache-ttl 0] [-pprof]
+//	          [-rescache-ttl 0] [-drain-timeout 15s] [-pprof]
+//
+// Every flag but -addr and -execute is shared with mdqserve
+// (internal/boot) and means the same there; -plancache 0 disables the
+// plan cache (searches run uncached, gossip and template imports are
+// no-ops).
 //
 // -rescache bounds the shared service-call result cache consulted by
 // fragment executions (0 disables it): invocations repeated with
@@ -65,156 +70,51 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
 	"syscall"
 	"time"
 
+	"mdq/internal/boot"
 	"mdq/internal/dist"
-	"mdq/internal/exec"
-	"mdq/internal/httpwrap"
-	"mdq/internal/opt"
-	"mdq/internal/rescache"
 	"mdq/internal/serve"
-	"mdq/internal/service"
 	"mdq/internal/simweb"
 )
 
 func main() {
-	var (
-		addr          = flag.String("addr", ":8090", "listen address")
-		worldName     = flag.String("world", "travel", "built-in world: travel, bio, mashup or zipf")
-		scale         = flag.Float64("scale", 0, "sleep scale for simulated latencies (0 = report only)")
-		parallel      = flag.Int("parallel", opt.AutoParallelism, "in-process search workers per shard (-1 = one per CPU)")
-		planCache     = flag.Int("plancache", 128, "plan cache capacity in entries")
-		cacheTTL      = flag.Duration("cachettl", 0, "plan cache entry TTL (0 = no expiry)")
-		cacheBytes    = flag.Int64("cachebytes", 0, "approximate plan cache byte budget (0 = unlimited)")
-		cacheFile     = flag.String("cache-file", "", "load the template cache from this file at start and save it on SIGINT/SIGTERM")
-		execute       = flag.Bool("execute", true, "serve fragment execution (POST /dist/execute)")
-		bufferSize    = flag.Int("buffer", exec.DefaultBufferSize, "fragment executor edge buffer in tuples (larger = fewer stalls, more memory; smaller = tighter memory, earlier backpressure)")
-		rescacheN     = flag.Int("rescache", rescache.DefaultMaxEntries, "shared service-call result cache capacity in entries (0 disables)")
-		rescacheBytes = flag.Int64("rescache-bytes", rescache.DefaultMaxBytes, "approximate result cache byte budget (<0 = unlimited)")
-		rescacheTTL   = flag.Duration("rescache-ttl", 0, "result cache entry TTL (0 = no expiry; epochs still invalidate)")
-
-		feedback = flag.Bool("feedback", true, "fold fragment-execution traffic back into local service profiles")
-		minCalls = flag.Int64("feedback-min-calls", 4, "observed calls required before a profile refresh")
-		minDrift = flag.Float64("feedback-min-drift", 0.1, "relative statistics drift required before a refresh")
-
-		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight requests on shutdown")
-		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
-	)
+	addr := flag.String("addr", ":8090", "listen address")
+	execute := flag.Bool("execute", true, "serve fragment execution (POST /dist/execute)")
+	flags := boot.Register(flag.CommandLine)
 	flag.Parse()
 
-	reg, err := worldRegistry(*worldName)
+	metrics := serve.NewMetrics()
+	node, err := flags.Build(simweb.TravelOptions{}, metrics)
 	if err != nil {
 		log.Fatal(err)
 	}
-	reg.ObserveAll()
-
-	pc := opt.NewPlanCacheWith(opt.Policy{Capacity: *planCache, TTL: *cacheTTL, MaxBytes: *cacheBytes})
-	worker := dist.NewWorker(reg, pc)
-	worker.Parallelism = *parallel
+	worker := dist.NewWorker(node.Registry, node.PlanCache)
+	worker.Parallelism = flags.Parallel
 	worker.ExecuteDisabled = !*execute
-	worker.BufferSize = *bufferSize
-	if *feedback {
-		worker.Feedback = &service.FeedbackPolicy{MinCalls: *minCalls, MinDrift: *minDrift}
-	}
+	worker.BufferSize = flags.Buffer
+	worker.Feedback = node.Feedback
+	worker.ResultCache = node.ResultCache
 
-	if *cacheFile != "" {
-		if n, err := pc.LoadFile(*cacheFile, reg); err != nil {
-			if !os.IsNotExist(err) {
-				log.Fatalf("loading cache file: %v", err)
-			}
-		} else {
-			fmt.Printf("warmed %d template entries from %s\n", n, *cacheFile)
-		}
-	}
-
-	mux, names := httpwrap.ServeRegistry(reg, httpwrap.HandlerOptions{SleepScale: *scale})
-	metrics := serve.NewMetrics()
-	if *rescacheN != 0 {
-		store := rescache.New(rescache.Config{MaxEntries: *rescacheN, MaxBytes: *rescacheBytes, TTL: *rescacheTTL})
-		store.Observer = rescache.MetricsObserver(metrics)
-		store.Bind(reg)
-		worker.ResultCache = store
-	}
-	mux.Handle("/dist/", instrumentWorker(metrics, worker.Handler()))
-	mux.Handle("/metrics", metrics.Handler())
-	if *pprofFlag {
-		// Opt-in only: profiles expose internals, so the endpoints are
-		// mounted solely behind the flag (enable on trusted networks).
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	fmt.Printf("mdqworker: %s world (%v) on %s (execute=%v)\n", *worldName, names, *addr, *execute)
+	node.Mux.Handle("/dist/", instrumentWorker(metrics, worker.Handler()))
+	node.Mux.Handle("/metrics", metrics.Handler())
+	fmt.Printf("mdqworker: %s world (%v) on %s (execute=%v)\n", flags.World, node.Services, *addr, *execute)
 	fmt.Printf("endpoints: POST /dist/search, /dist/sync, /dist/gossip, /dist/execute; GET|POST /dist/templates; GET /dist/info; GET /dist/health; GET /metrics\n")
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		log.Fatal(err)
-	case s := <-sig:
-		fmt.Printf("received %v: draining in-flight requests\n", s)
 	}
-
-	// Drain in-flight fragment executions and searches before the
-	// feedback flush and cache save, so what they learned is persisted.
-	sdCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(sdCtx); err != nil {
-		log.Printf("shutdown: %v", err)
-	}
-	if n := reg.RefreshObserved(); n > 0 {
-		fmt.Printf("flushed pending feedback into %d profile(s)\n", n)
-	}
-	if *cacheFile != "" {
-		if err := pc.SaveFile(*cacheFile); err != nil {
-			log.Fatalf("saving cache file: %v", err)
-		}
-		fmt.Printf("saved template cache to %s\n", *cacheFile)
-	}
-}
-
-// statusWriter records the status a worker endpoint returned.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(status int) {
-	if sw.status == 0 {
-		sw.status = status
-	}
-	sw.ResponseWriter.WriteHeader(status)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(p)
-}
-
-// Flush keeps the fragment stream's flushing working through the
-// wrapper.
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := node.Run(ctx, ln, nil); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -225,32 +125,13 @@ func instrumentWorker(m *serve.Metrics, h http.Handler) http.Handler {
 		inflight := m.Gauge("mdq_worker_inflight_requests", "Protocol requests currently executing.")
 		inflight.Add(1)
 		defer inflight.Add(-1)
-		sw := &statusWriter{ResponseWriter: w}
+		cw := &serve.CountingWriter{ResponseWriter: w}
 		start := time.Now()
-		h.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
+		h.ServeHTTP(cw, r)
 		m.CounterL("mdq_worker_requests_total",
 			"Protocol requests by endpoint and status code.",
-			"endpoint", r.URL.Path, "code", strconv.Itoa(sw.status)).Inc()
+			"endpoint", r.URL.Path, "code", strconv.Itoa(cw.Status())).Inc()
 		m.HistogramL("mdq_worker_request_seconds",
 			"Protocol request latency.", nil, "endpoint", r.URL.Path).Observe(time.Since(start).Seconds())
 	})
-}
-
-// worldRegistry builds the named simulated world.
-func worldRegistry(name string) (*service.Registry, error) {
-	switch name {
-	case "travel":
-		return simweb.NewTravelWorld(simweb.TravelOptions{}).Registry, nil
-	case "bio":
-		return simweb.NewBioWorld().Registry, nil
-	case "mashup":
-		return simweb.NewMashupWorld().Registry, nil
-	case "zipf":
-		return simweb.NewZipfWorld(0, 0, 0).Registry, nil
-	default:
-		return nil, fmt.Errorf("unknown world %q", name)
-	}
 }

@@ -434,15 +434,6 @@ func (q *Query) String() string {
 // VarSet is a set of variables.
 type VarSet map[Var]struct{}
 
-// NewVarSet builds a set from variables.
-func NewVarSet(vars ...Var) VarSet {
-	vs := VarSet{}
-	for _, v := range vars {
-		vs.Add(v)
-	}
-	return vs
-}
-
 // Add inserts a variable.
 func (s VarSet) Add(v Var) { s[v] = struct{}{} }
 

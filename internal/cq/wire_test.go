@@ -16,6 +16,8 @@ func TestQueryStringParseRoundTrip(t *testing.T) {
 		                  Temp >= 28, Start >= '2007/03/14' {0.25}.`,
 		`r(A) :- svc(A, B), other(B, C), A + B < 2000000 {0.01}, C != 'x y'.`,
 		`s(X) :- svc(X, Y), Y >= 1.5e+06.`,
+		// An embedded quote renders doubled, as the lexer reads it.
+		`t(N) :- person('O''Brien', N), N != ''''.`,
 	}
 	for _, text := range texts {
 		q, err := Parse(text)

@@ -4,13 +4,18 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"mdq/internal/card"
 	"mdq/internal/cost"
+	"mdq/internal/cq"
 	. "mdq/internal/dist"
 	"mdq/internal/exec"
 	"mdq/internal/opt"
 	"mdq/internal/plan"
+	"mdq/internal/schema"
+	"mdq/internal/service"
+	"mdq/internal/tabsvc"
 )
 
 // optimizeOn runs a plain sequential optimization against a registry
@@ -182,5 +187,72 @@ func TestExecuteFragmentDisabled(t *testing.T) {
 	p := optimizeOn(t, co, w.text)
 	if _, err := co.ExecutePlan(context.Background(), p); err == nil {
 		t.Fatal("execution against disabled workers did not error")
+	}
+}
+
+// quoteWorld holds constants with embedded quotes, which reach the
+// workers inside the query text a coordinator ships.
+func quoteWorld() (*service.Registry, *schema.Schema) {
+	name := schema.Domain{Name: "Name", Kind: schema.StringValue, DistinctValues: 2}
+	paper := schema.Domain{Name: "Paper", Kind: schema.StringValue}
+	sig := func(svc string, a, b schema.Domain) *schema.Signature {
+		return &schema.Signature{
+			Name:     svc,
+			Attrs:    []schema.Attribute{{Name: a.Name, Domain: a}, {Name: b.Name, Domain: b}},
+			Patterns: []schema.AccessPattern{schema.MustPattern("io")},
+			Kind:     schema.Exact,
+			Stats:    schema.Stats{ERSPI: 2, ResponseTime: time.Millisecond},
+		}
+	}
+	reg := service.NewRegistry()
+	reg.MustRegister(tabsvc.MustNew(sig("author", name, paper), [][]schema.Value{
+		{schema.S("O'Brien"), schema.S("Joins, Queries and Brien's Law")},
+		{schema.S("O'Brien"), schema.S("It's Indexed")},
+		{schema.S("Smith"), schema.S("Plans")},
+	}, tabsvc.Latency{Base: time.Millisecond}))
+	reg.MustRegister(tabsvc.MustNew(sig("venue", paper, schema.Domain{Name: "Venue", Kind: schema.StringValue}), [][]schema.Value{
+		{schema.S("Joins, Queries and Brien's Law"), schema.S("VLDB")},
+		{schema.S("It's Indexed"), schema.S("SIGMOD")},
+		{schema.S("Plans"), schema.S("ICDE")},
+	}, tabsvc.Latency{Base: time.Millisecond}))
+	sch, err := reg.Schema()
+	if err != nil {
+		panic(err)
+	}
+	return reg, sch
+}
+
+// TestDistributedQuotedBinding: a template binding containing a quote
+// (O'Brien) optimizes and executes through a LocalTransport fleet
+// exactly as locally — the workers re-parse the shipped query text.
+func TestDistributedQuotedBinding(t *testing.T) {
+	co, _ := localCluster(t, world{name: "quotes", make: quoteWorld}, 2)
+	tpl, err := cq.ParseTemplate(`q(Paper, Venue) :- author($name, Paper), venue(Paper, Venue).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := tpl.Bind(map[string]schema.Value{"name": schema.S("O'Brien")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Resolve(mustSchema(t, co.Registry)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.OptimizeTemplate(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := &exec.Runner{Registry: co.Registry, Cache: card.OneCall, K: 10}
+	want, err := local.Run(context.Background(), res.Best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := co.ExecutePlan(context.Background(), res.Best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameExecution(t, want, got)
+	if len(got.Rows) != 2 {
+		t.Fatalf("O'Brien has 2 papers, got rows %v", got.Rows)
 	}
 }

@@ -68,6 +68,11 @@ type ExecuteRequest struct {
 	// BatchSize overrides the streaming batch size (0 means
 	// DefaultExecuteBatch).
 	BatchSize int `json:"batch_size,omitempty"`
+	// Limit, when positive, ends the fragment after that many tuples
+	// with its normal accounting frame: the coordinator's K, pushed
+	// down to a fragment whose tail feeds the plan's output. A worker
+	// that predates the field streams the whole chain instead.
+	Limit int `json:"limit,omitempty"`
 	// BudgetMillis is the time remaining in the coordinator's query
 	// budget at dispatch, in milliseconds (0 = no deadline). Shipped
 	// as a relative duration rather than an absolute instant so clock
@@ -291,7 +296,7 @@ func (w *Worker) ExecuteFragment(ctx context.Context, req ExecuteRequest, sink f
 		batch = nil
 		return err
 	}
-	runner := &exec.Runner{Registry: w.reg, Cache: mode, Feedback: w.Feedback, BufferSize: w.BufferSize, ResultCache: w.ResultCache}
+	runner := &exec.Runner{Registry: w.reg, Cache: mode, K: req.Limit, Feedback: w.Feedback, BufferSize: w.BufferSize, ResultCache: w.ResultCache}
 	res, err := runner.RunFragment(ctx, p, req.Atoms, seeds, func(t exec.Tuple) error {
 		batch = append(batch, encodeTuple(t))
 		count++
@@ -529,6 +534,15 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 	if output == nil {
 		return nil, fmt.Errorf("dist: plan for query %s has no output node", p.Query.Name)
 	}
+	// Limit pushdown: a fragment whose tail is the output's only
+	// producer streams the answers themselves, so it stops at K by
+	// itself, reporting its accounting, and is never cancelled.
+	limitTail := -1
+	if feed := output.In[0]; c.K > 0 && len(feed.Out) == 1 {
+		if _, ok := tailFrag[feed.ID]; ok {
+			limitTail = feed.ID
+		}
+	}
 	outsOf := func(n *plan.Node) []chan exec.Tuple {
 		outs := make([]chan exec.Tuple, len(n.Out))
 		for i, m := range n.Out {
@@ -601,6 +615,9 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 		req := base
 		req.Atoms = f.Atoms
 		req.Seeds = encodeTuples(seeds)
+		if tail.ID == limitTail {
+			req.Limit = c.K
+		}
 		cands := f.Candidates
 		if len(cands) == 0 {
 			cands = []int{f.Worker}
@@ -813,7 +830,9 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, p *plan.Plan) (*exec.Resu
 						}
 						if c.K > 0 && len(rows) >= c.K {
 							reached.Store(true)
-							cancel()
+							if limitTail < 0 {
+								cancel()
+							}
 						}
 					}
 					mu.Unlock()

@@ -2,6 +2,8 @@ package dist_test
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -109,5 +111,89 @@ func TestHTTPGossipAndWarmup(t *testing.T) {
 	tr := co.Workers[0]
 	if _, err := tr.Search(ctx, SearchRequest{Query: "not a query", ShardCount: 2}); err == nil {
 		t.Fatal("malformed query did not error over HTTP")
+	}
+}
+
+// TestUncachedWorker: a worker built without a plan cache (mdqworker
+// -plancache 0) still serves every protocol endpoint over HTTP —
+// sharded search, template optimization, gossip, template export and
+// import, and /dist/info.
+func TestUncachedWorker(t *testing.T) {
+	w := worlds[2]
+	reg, sch := w.make()
+	seq := &opt.Optimizer{Metric: cost.ExecTime{}, Estimator: card.Config{Mode: card.OneCall},
+		K: 10, ChooseMethod: reg.MethodChooser()}
+	want, err := seq.Optimize(resolve(t, w.text, sch))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wreg, _ := w.make()
+	wk := NewWorker(wreg, nil)
+	wk.Parallelism = 1
+	srv := httptest.NewServer(wk.Handler())
+	t.Cleanup(srv.Close)
+	co := &Coordinator{Registry: reg, Metric: cost.ExecTime{}, Mode: card.OneCall, K: 10,
+		Workers: []Transport{&HTTPTransport{Base: srv.URL}}}
+	ctx := context.Background()
+	q := resolve(t, w.text, mustSchema(t, co.Registry))
+
+	got, err := co.Optimize(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cost != want.Cost || got.Best.Signature() != want.Best.Signature() {
+		t.Fatalf("uncached worker (%g, %s), sequential (%g, %s)",
+			got.Cost, got.Best.Signature(), want.Cost, want.Best.Signature())
+	}
+	for i := 0; i < 2; i++ {
+		r, err := co.OptimizeTemplate(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.TemplateHit {
+			t.Fatal("uncached worker claimed a template hit")
+		}
+	}
+	if err := co.Gossip(ctx, []service.EpochBump{{Service: "review", Epoch: co.Registry.BumpEpoch("review")}}); err != nil {
+		t.Fatal(err)
+	}
+
+	local := opt.NewPlanCache(16)
+	seq.Cache, seq.CacheSalt, seq.Epochs = local, reg.CacheSalt(), reg
+	if _, err := seq.OptimizeTemplate(resolve(t, w.text, sch)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := co.WarmWorkers(ctx, local); err != nil || n != 0 {
+		t.Fatalf("warming an uncached worker imported %d entries (err %v), want 0", n, err)
+	}
+	var exported []opt.TemplateWireEntry
+	getJSON(t, srv.URL+"/dist/templates", &exported)
+	if len(exported) != 0 {
+		t.Fatalf("uncached worker exported %d template entries", len(exported))
+	}
+	var info struct {
+		Services []string       `json:"services"`
+		Cache    opt.CacheStats `json:"cache"`
+	}
+	getJSON(t, srv.URL+"/dist/info", &info)
+	if len(info.Services) != 2 || info.Cache.Searches != 0 {
+		t.Fatalf("/dist/info = %+v, want 2 services and no cache activity", info)
+	}
+}
+
+// getJSON decodes the JSON body of a successful GET.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
 	}
 }

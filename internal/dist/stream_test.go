@@ -87,6 +87,68 @@ func TestExecutePlanEarlyKSavesWork(t *testing.T) {
 	}
 }
 
+// TestExecutePlanLimitPushdown: on a chain plan the fragment feeding
+// the output gets K pushed down, so it stops by itself after K tuples
+// and still reports its accounting — over both transports. The run
+// returns the local K-limited answer, its recorded calls are exactly
+// what the budget was charged, and — with worker arcs of 2 tuples
+// bounding how far the chain runs ahead — they stay below a full
+// drain's.
+func TestExecutePlanLimitPushdown(t *testing.T) {
+	w := worlds[2] // zipf: catalog → review, one fragment feeding the output
+	full, _ := localCluster(t, w, 2)
+	full.K = 0
+	p := optimizeOn(t, full, w.text)
+	fres, err := full.ExecutePlan(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fullCalls int64
+	for _, v := range fres.Stats.Calls {
+		fullCalls += v
+	}
+	clusters := []struct {
+		name string
+		mk   func(t *testing.T, w world, n int) (*Coordinator, []*Worker)
+	}{
+		{"local", localCluster},
+		{"http", httpCluster},
+	}
+	for _, cl := range clusters {
+		cl := cl
+		t.Run(cl.name, func(t *testing.T) {
+			co, workers := cl.mk(t, w, 2)
+			co.K = 3
+			for _, wk := range workers {
+				wk.BufferSize = 2
+			}
+			local := &exec.Runner{Registry: co.Registry, Cache: card.OneCall, K: 3}
+			want, err := local.Run(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := serve.NewBudget(0, fullCalls)
+			ctx, cancel := b.Context(context.Background())
+			defer cancel()
+			got, err := co.ExecutePlan(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameExecution(t, want, got)
+			var calls int64
+			for _, v := range got.Stats.Calls {
+				calls += v
+			}
+			if calls == 0 || calls >= fullCalls {
+				t.Fatalf("recorded %d calls, want some and fewer than the full drain's %d", calls, fullCalls)
+			}
+			if b.Calls() != calls {
+				t.Fatalf("budget charged %d calls, fragment reported %d", b.Calls(), calls)
+			}
+		})
+	}
+}
+
 // TestExecutePlanMidStreamBudgetTrip: a budget that trips while
 // fragments are streaming cancels the sibling branches and surfaces
 // as the typed *serve.BudgetError — over both transports — and the

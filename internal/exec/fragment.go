@@ -23,11 +23,11 @@ import (
 // goroutine per node, channels along the arcs, logical caching,
 // chunked fetching, local predicates), so a chain produces exactly
 // the tuples — in exactly the order — the same nodes would produce
-// inside a full Run. Two deliberate differences: the runner's K does
-// not apply (an intermediate stream must be complete, or downstream
-// joins would see a truncated Cartesian plane; the coordinator
-// truncates at the output instead), and ParallelCalls is ignored
-// (parallel dispatch reorders results, which would break the
+// inside a full Run. Two deliberate differences: the runner's K caps
+// the fragment's output and ends it as a complete run (accounting and
+// feedback included) — set it only when the tail feeds the plan's
+// output, since a join needs its input whole — and ParallelCalls is
+// ignored (parallel dispatch reorders results, which would break the
 // byte-identical contract fragment execution is differential-tested
 // under).
 //
@@ -112,6 +112,8 @@ func (r *Runner) RunFragment(ctx context.Context, p *plan.Plan, atoms []int, see
 	var (
 		tuples  []Tuple
 		sinkErr error
+		n       int
+		reached bool
 	)
 	for t := range edges[len(chain)].ch {
 		if sink != nil {
@@ -120,12 +122,17 @@ func (r *Runner) RunFragment(ctx context.Context, p *plan.Plan, atoms []int, see
 				cancel()
 				break
 			}
-			continue
+		} else {
+			tuples = append(tuples, t)
 		}
-		tuples = append(tuples, t)
+		if n++; r.K > 0 && n >= r.K {
+			reached = true
+			cancel()
+			break
+		}
 	}
-	// Drain whatever the stages still emit after a sink abort so they
-	// can shut down (emit also unblocks on the cancelled context).
+	// Drain whatever the stages still emit after a sink abort or K so
+	// they can shut down (emit also unblocks on the cancelled context).
 	for range edges[len(chain)].ch {
 	}
 	wg.Wait()
@@ -138,7 +145,7 @@ func (r *Runner) RunFragment(ctx context.Context, p *plan.Plan, atoms []int, see
 	if sinkErr != nil {
 		return nil, sinkErr
 	}
-	if ctx.Err() != nil {
+	if ctx.Err() != nil && !reached {
 		return nil, budgetAbort(ctx, ctx.Err())
 	}
 	res := &Result{

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,13 +64,13 @@ type Runner struct {
 	// Clock accounts for simulated service time; nil ignores it
 	// (counts only).
 	Clock Clock
-	// ParallelCalls dispatches all pending invocations of a stage
-	// concurrently instead of sequentially — the separate
-	// multithreading test of §6. It randomizes arrival order, which
-	// degrades the one-call cache exactly as the paper observed.
+	// ParallelCalls dispatches a stage's invocations concurrently, in
+	// waves of MaxParallel, instead of sequentially — the separate
+	// multithreading test of §6. Waves degrade the one-call cache as
+	// the paper observed, but deterministically (see processWave).
 	ParallelCalls bool
-	// MaxParallel bounds concurrent invocations per stage in
-	// ParallelCalls mode (default 16).
+	// MaxParallel bounds concurrent invocations per stage — the wave
+	// size — in ParallelCalls mode (default 16).
 	MaxParallel int
 	// SharedCache, when set, is used instead of a fresh cache built
 	// from Cache — the mechanism behind continued executions (§2.2):
@@ -92,12 +93,13 @@ type Runner struct {
 	// consumers (fewer stalls, more buffered tuples), while a smaller
 	// value bounds memory tighter and applies backpressure sooner.
 	BufferSize int
-	// Materialize restores the pre-streaming join path: drain both
-	// join inputs, then traverse the buffered Cartesian plane with
-	// JoinPairs. Output is identical to the streaming operators (the
-	// traversal order is the same); only the emission timing and the
-	// buffering differ. It exists as the differential baseline the
-	// streaming runtime is tested and benchmarked against.
+	// Materialize restores the pre-streaming runtime: every join
+	// drains both inputs, then traverses the buffered Cartesian plane
+	// with JoinPairs, and K truncates the fully drained answer. Output
+	// is identical to the streaming operators (the traversal order is
+	// the same); timing, buffering and — under K — the calls differ.
+	// It is the differential baseline the streaming runtime is tested
+	// and benchmarked against.
 	Materialize bool
 	// JoinExcessPeak, when non-nil, is raised to the largest number of
 	// tuples any streaming join buffered beyond its still-needed
@@ -186,10 +188,13 @@ func (r *Runner) Run(ctx context.Context, p *plan.Plan) (*Result, error) {
 		start:  start,
 	}
 	for _, n := range p.Nodes {
-		if n.Kind == plan.Service {
+		switch n.Kind {
+		case plan.Service:
 			if _, ok := ex.calls[n.Atom.Service]; !ok {
 				ex.calls[n.Atom.Service] = &service.Counter{}
 			}
+		case plan.Join:
+			ex.capsRight = ex.capsRight || n.Method == plan.NestedLoop
 		}
 	}
 	rows, tuples, err := ex.run(ctx)
@@ -243,6 +248,9 @@ type execution struct {
 	// output stage's mutex, when the first result row lands.
 	start    time.Time
 	firstRow time.Duration
+	// capsRight caps nested loops' pending right side at BufferSize,
+	// set when the plan has one (see run for the relays it needs).
+	capsRight bool
 }
 
 type edge struct {
@@ -253,12 +261,18 @@ func (ex *execution) run(ctx context.Context) ([][]schema.Value, []Tuple, error)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// One channel per arc, indexed by (from, to).
+	// One channel per arc, indexed by (from, to). Under capsRight, the
+	// arcs of multi-consumer nodes are relayed (see stream.go).
 	type arcKey struct{ from, to int }
 	arcs := map[arcKey]*edge{}
+	relayed := map[arcKey]*edge{}
 	for _, n := range ex.plan.Nodes {
 		for _, m := range n.Out {
-			arcs[arcKey{n.ID, m.ID}] = &edge{ch: make(chan Tuple, ex.runner.bufferSize())}
+			k := arcKey{n.ID, m.ID}
+			arcs[k] = &edge{ch: make(chan Tuple, ex.runner.bufferSize())}
+			if ex.capsRight && len(n.Out) > 1 {
+				relayed[k] = &edge{ch: make(chan Tuple, ex.runner.bufferSize())}
+			}
 		}
 	}
 	ins := func(n *plan.Node) []*edge {
@@ -271,13 +285,26 @@ func (ex *execution) run(ctx context.Context) ([][]schema.Value, []Tuple, error)
 	outs := func(n *plan.Node) []*edge {
 		out := make([]*edge, len(n.Out))
 		for i, m := range n.Out {
-			out[i] = arcs[arcKey{n.ID, m.ID}]
+			k := arcKey{n.ID, m.ID}
+			if e, ok := relayed[k]; ok {
+				out[i] = e
+			} else {
+				out[i] = arcs[k]
+			}
 		}
 		return out
 	}
 
 	errc := make(chan error, len(ex.plan.Nodes))
 	var wg sync.WaitGroup
+	for k, e := range relayed {
+		from, to := e.ch, arcs[k].ch
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			relay(ctx, from, to)
+		}()
+	}
 	var (
 		mu      sync.Mutex
 		rows    [][]schema.Value
@@ -314,7 +341,9 @@ func (ex *execution) run(ctx context.Context) ([][]schema.Value, []Tuple, error)
 							}
 							if ex.runner.K > 0 && len(rows) >= ex.runner.K {
 								reached = true
-								cancel()
+								if !ex.runner.Materialize {
+									cancel()
+								}
 							}
 						}
 						mu.Unlock()
@@ -343,6 +372,32 @@ func (ex *execution) run(ctx context.Context) ([][]schema.Value, []Tuple, error)
 		return nil, nil, ctx.Err()
 	}
 	return rows, tuples, nil
+}
+
+// relay forwards one arc of a multi-consumer node through an
+// unbounded queue, so the producer never waits on this consumer.
+func relay(ctx context.Context, from <-chan Tuple, to chan<- Tuple) {
+	defer close(to)
+	var queue []Tuple
+	for from != nil || len(queue) > 0 {
+		var out chan<- Tuple
+		var next Tuple
+		if len(queue) > 0 {
+			out, next = to, queue[0]
+		}
+		select {
+		case t, ok := <-from:
+			if !ok {
+				from = nil
+				break
+			}
+			queue = append(queue, t)
+		case out <- next:
+			queue = queue[1:]
+		case <-ctx.Done():
+			return
+		}
+	}
 }
 
 // emit sends a tuple to every outgoing arc, honoring cancellation.
@@ -377,94 +432,138 @@ func (ex *execution) runService(ctx context.Context, n *plan.Node, in *edge, out
 	if err != nil {
 		return err
 	}
-	st := &svcStage{ex: ex, iv: iv}
-
-	if !ex.runner.ParallelCalls {
-		for t := range in.ch {
-			// A cancelled run (k satisfied downstream, budget trip,
-			// external abort) stops invoking services immediately
-			// instead of working through the buffered backlog.
-			if ctx.Err() != nil {
-				return nil
-			}
-			results, err := st.process(ctx, t)
-			if err != nil {
+	// The stage takes its input in waves: one tuple at a time, or —
+	// with ParallelCalls — MaxParallel tuples whose calls go out on
+	// parallel threads (see callWave).
+	size := 1
+	if ex.runner.ParallelCalls {
+		if size = ex.runner.MaxParallel; size <= 0 {
+			size = 16
+		}
+	}
+	release := func(rts []Tuple) error {
+		nsp.AddObs(1, int64(len(rts)), 0, 0)
+		for _, rt := range rts {
+			if err := emit(ctx, outs, rt); err != nil {
 				return err
-			}
-			nsp.AddObs(1, int64(len(results)), 0, 0)
-			for _, rt := range results {
-				if err := emit(ctx, outs, rt); err != nil {
-					return nil // downstream satisfied
-				}
 			}
 		}
 		return nil
 	}
-
-	// Multithreaded dispatch (§6): all pending calls of this stage go
-	// out on parallel threads; results interleave nondeterministically.
-	maxPar := ex.runner.MaxParallel
-	if maxPar <= 0 {
-		maxPar = 16
-	}
-	sem := make(chan struct{}, maxPar)
-	var wg sync.WaitGroup
-	var firstErr error
-	var mu sync.Mutex
-	for t := range in.ch {
-		t := t
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			wg.Wait()
+	wave := make([]Tuple, 0, size)
+	for open := true; open; {
+		wave = wave[:0]
+		for len(wave) < size {
+			t, ok := <-in.ch
+			if !ok {
+				open = false
+				break
+			}
+			wave = append(wave, t)
+		}
+		// A cancelled run (k satisfied downstream, budget trip,
+		// external abort) stops invoking services immediately
+		// instead of working through the buffered backlog.
+		if len(wave) == 0 || ctx.Err() != nil {
 			return nil
 		}
+		if err := ex.callWave(ctx, iv, wave, release); err != nil {
+			if err == context.Canceled {
+				return nil // downstream satisfied, or the run was cancelled
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// sleep accounts simulated service time against the runner's clock.
+func (ex *execution) sleep(ctx context.Context, elapsed time.Duration) error {
+	if ex.runner.Clock != nil && elapsed > 0 && ex.runner.Clock.Sleep(ctx, elapsed) != nil {
+		return context.Canceled
+	}
+	return nil
+}
+
+// waveCache holds back one wave call's cache entry until the wave
+// releases it.
+type waveCache struct {
+	Cache
+	key   string
+	entry *Entry
+}
+
+func (c *waveCache) Put(_, key string, e Entry) { c.key, c.entry = key, &e }
+
+// callWave performs the logical invocations of one wave — cache
+// lookup, up to F fetches on a miss (accounted against the clock),
+// row binding and local predicate evaluation — and hands each input's
+// result tuples to release. A wave of several tuples (the
+// multithreading test of §6) issues its calls on parallel threads,
+// but deterministically: every call sees the cache as it was before
+// the wave (identical concurrent calls all miss), and results are
+// released — and entries recorded — in virtual completion order
+// (simulated service time, ties in arrival order). Results of
+// different calls thus interleave downstream, degrading the one-call
+// cache as the paper observed, yet every run makes the same calls and
+// emits the same stream.
+func (ex *execution) callWave(ctx context.Context, iv *NodeInvoker, wave []Tuple, release func([]Tuple) error) error {
+	if len(wave) == 1 { // a sequential stage: one call, inline
+		rows, _, elapsed, err := iv.Call(ctx, wave[0])
+		if err == nil {
+			err = ex.sleep(ctx, elapsed)
+		}
+		if err != nil {
+			return err
+		}
+		rts, err := iv.Expand(wave[0], rows)
+		if err != nil {
+			return err
+		}
+		return release(rts)
+	}
+	type slot struct {
+		cache   waveCache
+		rows    [][]schema.Value
+		elapsed time.Duration
+		err     error
+	}
+	slots := make([]slot, len(wave))
+	var wg sync.WaitGroup
+	for i, t := range wave {
+		s, siv := &slots[i], *iv
+		s.cache.Cache = iv.Cache
+		siv.Cache = &s.cache
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			results, err := st.process(ctx, t)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil && err != context.Canceled {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			nsp.AddObs(1, int64(len(results)), 0, 0)
-			for _, rt := range results {
-				if emit(ctx, outs, rt) != nil {
-					return
-				}
+			if s.rows, _, s.elapsed, s.err = siv.Call(ctx, t); s.err == nil {
+				s.err = ex.sleep(ctx, s.elapsed)
 			}
 		}()
 	}
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return firstErr
-}
-
-type svcStage struct {
-	ex *execution
-	iv *NodeInvoker
-}
-
-// process performs the logical invocation for one input tuple:
-// cache lookup, up to F fetches on miss (accounted against the
-// clock), row binding and local predicate evaluation.
-func (st *svcStage) process(ctx context.Context, t Tuple) ([]Tuple, error) {
-	rows, _, elapsed, err := st.iv.Call(ctx, t)
-	if err != nil {
-		return nil, err
+	order := make([]int, len(slots))
+	for i := range slots {
+		if slots[i].err != nil {
+			return slots[i].err
+		}
+		order[i] = i
 	}
-	if st.ex.runner.Clock != nil && elapsed > 0 {
-		if err := st.ex.runner.Clock.Sleep(ctx, elapsed); err != nil {
-			return nil, context.Canceled
+	sort.SliceStable(order, func(a, b int) bool { return slots[order[a]].elapsed < slots[order[b]].elapsed })
+	for _, i := range order {
+		if c := slots[i].cache; c.entry != nil {
+			iv.Cache.Put(iv.Node.Atom.Service, c.key, *c.entry)
+		}
+		rts, err := iv.Expand(wave[i], slots[i].rows)
+		if err != nil {
+			return err
+		}
+		if err := release(rts); err != nil {
+			return err
 		}
 	}
-	return st.iv.Expand(t, rows)
+	return nil
 }
 
 // runJoin implements the parallel join strategies of §3.3 / [4] as a
@@ -482,10 +581,14 @@ func (ex *execution) runJoin(ctx context.Context, n *plan.Node, ins []*edge, out
 	if ex.runner.Materialize {
 		return ex.runJoinMaterialized(ctx, n, ins, outs)
 	}
-	return StreamJoin(ctx, n.Method, ins[0].ch, ins[1].ch, n.JoinPreds, ex.ix, func(m Tuple) error {
+	rightCap := 0
+	if ex.capsRight {
+		rightCap = ex.runner.bufferSize()
+	}
+	return streamJoinCapped(ctx, n.Method, ins[0].ch, ins[1].ch, n.JoinPreds, ex.ix, func(m Tuple) error {
 		nsp.AddObs(0, 1, 0, 0)
 		return emit(ctx, outs, m)
-	}, ex.runner.JoinExcessPeak)
+	}, ex.runner.JoinExcessPeak, rightCap)
 }
 
 // runJoinMaterialized is the seed-era join stage: drain both input

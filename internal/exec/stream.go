@@ -30,7 +30,11 @@ package exec
 // This keeps a shared upstream producer live: if the two join inputs
 // descend from one node with several consumers, refusing to read one
 // input while the other fills would deadlock the producer against the
-// bounded arc buffers.
+// bounded arc buffers. The in-process Runner lifts this for the
+// nested loop: it relays multi-consumer arcs through unbounded queues,
+// so the loop can stop reading its right side at BufferSize pending
+// tuples — the proliferative branch waits for the selective one, and
+// early termination at K cuts its calls.
 
 import (
 	"context"
@@ -78,7 +82,14 @@ func notePeak(peak *atomic.Int64, n int) {
 // gauge untouched. Tests pin this gauge to show coordinator memory is
 // bounded by arc buffers, not by intermediate-result cardinality.
 func StreamJoin(ctx context.Context, method plan.JoinMethod, left, right <-chan Tuple, preds []*cq.Predicate, ix *VarIndex, emit func(Tuple) error, peak *atomic.Int64) error {
-	j := &streamJoin{ctx: ctx, preds: preds, ix: ix, emit: emit, peak: peak}
+	return streamJoinCapped(ctx, method, left, right, preds, ix, emit, peak, 0)
+}
+
+// streamJoinCapped is StreamJoin with the nested loop's pending right
+// queue capped at rightCap tuples (0 = unbounded); safe only when no
+// producer feeds both sides through bounded arcs.
+func streamJoinCapped(ctx context.Context, method plan.JoinMethod, left, right <-chan Tuple, preds []*cq.Predicate, ix *VarIndex, emit func(Tuple) error, peak *atomic.Int64, rightCap int) error {
+	j := &streamJoin{ctx: ctx, preds: preds, ix: ix, emit: emit, peak: peak, rightCap: rightCap}
 	switch method {
 	case plan.NestedLoop:
 		return j.nestedLoop(left, right)
@@ -88,11 +99,12 @@ func StreamJoin(ctx context.Context, method plan.JoinMethod, left, right <-chan 
 }
 
 type streamJoin struct {
-	ctx   context.Context
-	preds []*cq.Predicate
-	ix    *VarIndex
-	emit  func(Tuple) error
-	peak  *atomic.Int64
+	ctx      context.Context
+	preds    []*cq.Predicate
+	ix       *VarIndex
+	emit     func(Tuple) error
+	peak     *atomic.Int64
+	rightCap int
 }
 
 // try merges one candidate pair and emits it when the shared
@@ -120,8 +132,13 @@ func (j *streamJoin) nestedLoop(lch, rch <-chan Tuple) error {
 	var left, pending []Tuple
 	// Phase 1: complete the left side. Right tuples arriving early are
 	// queued unjoined (the order contract needs the full left first),
-	// but still consumed so a shared upstream never blocks on us.
+	// but still consumed so a shared upstream never blocks on us
+	// (unless capped).
 	for lch != nil {
+		rin := rch
+		if j.rightCap > 0 && len(pending) >= j.rightCap {
+			rin = nil
+		}
 		select {
 		case t, ok := <-lch:
 			if !ok {
@@ -129,7 +146,7 @@ func (j *streamJoin) nestedLoop(lch, rch <-chan Tuple) error {
 				break
 			}
 			left = append(left, t)
-		case t, ok := <-rch:
+		case t, ok := <-rin:
 			if !ok {
 				rch = nil
 				break

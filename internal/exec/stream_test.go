@@ -328,9 +328,9 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 }
 
 // TestStreamingMatchesMaterializedParallel repeats the differential
-// with ParallelCalls, where upstream emission order within a stage is
-// nondeterministic in both runtimes — so the contract weakens to the
-// same answer multiset and the same call counts.
+// with ParallelCalls, where stages release each wave of calls in
+// virtual completion order rather than arrival order — so the
+// contract is the same answer multiset and the same call counts.
 func TestStreamingMatchesMaterializedParallel(t *testing.T) {
 	for _, w := range streamWorlds() {
 		w := w
@@ -363,6 +363,82 @@ func TestStreamingMatchesMaterializedParallel(t *testing.T) {
 				t.Fatalf("parallel call counts diverge: %v vs %v", gotCalls, wantCalls)
 			}
 		})
+	}
+}
+
+// gatedService holds every invocation until its gate closes.
+type gatedService struct {
+	service.Service
+	gate <-chan struct{}
+}
+
+func (g *gatedService) Invoke(ctx context.Context, pat int, req service.Request) (service.Response, error) {
+	select {
+	case <-g.gate:
+	case <-ctx.Done():
+		return service.Response{}, ctx.Err()
+	}
+	return g.Service.Invoke(ctx, pat, req)
+}
+
+// countedService counts the invocations that reach a service.
+type countedService struct {
+	service.Service
+	n atomic.Int64
+}
+
+func (c *countedService) Invoke(ctx context.Context, pat int, req service.Request) (service.Response, error) {
+	c.n.Add(1)
+	return c.Service.Invoke(ctx, pat, req)
+}
+
+// TestStreamingNestedLoopHoldsRightBranch: while a nested loop's
+// selective left side is still open, its proliferative right branch
+// runs at most a few buffers ahead instead of draining — although
+// both branches share an upstream producer (bioinfo: kegg feeds
+// uniprot → blast on the right and interpro on the left), which the
+// runner's relays keep from deadlocking.
+func TestStreamingNestedLoopHoldsRightBranch(t *testing.T) {
+	w := simweb.NewBioWorld()
+	gate := make(chan struct{})
+	blast := &countedService{}
+	reg := service.NewRegistry()
+	for _, svc := range w.Registry.Services() {
+		switch svc.Signature().Name {
+		case "interpro":
+			svc = &gatedService{Service: svc, gate: gate}
+		case "blast":
+			blast.Service = svc
+			svc = blast
+		}
+		if err := reg.Register(svc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg.SetJoinMethod("interpro", "blast", plan.NestedLoop)
+	p := optimizedPlan(t, reg, simweb.BioExampleText)
+
+	r := &Runner{Registry: reg, Cache: card.OneCall, BufferSize: 4}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := r.Run(context.Background(), p)
+		done <- outcome{res, err}
+	}()
+	// Ample time for an unheld right branch to drain completely.
+	time.Sleep(200 * time.Millisecond)
+	held := blast.n.Load()
+	close(gate)
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	total := out.res.Stats.Calls["blast"]
+	if total == 0 || 2*held > total {
+		t.Fatalf("right branch made %d of its %d blast calls while the left side was held", held, total)
 	}
 }
 

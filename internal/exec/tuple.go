@@ -121,16 +121,6 @@ func (t Tuple) Merge(u Tuple) (Tuple, bool) {
 	return out, true
 }
 
-// KeyOf returns a canonical key of the values at the given slots
-// (group key for joins).
-func (t Tuple) KeyOf(slots []int) string {
-	key := ""
-	for _, i := range slots {
-		key += t.vals[i].Key() + "\x1f"
-	}
-	return key
-}
-
 // Project extracts the named variables, for head projection.
 func (t Tuple) Project(ix *VarIndex, vars []cq.Var) ([]schema.Value, error) {
 	out := make([]schema.Value, len(vars))

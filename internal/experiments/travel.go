@@ -326,9 +326,10 @@ func Multithread(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 
-	// One-call cache degradation under real concurrency: the runner
-	// interleaves result tuples across blocks, so hotel misses climb
-	// from 15 toward 284 (the paper measured 212).
+	// One-call cache degradation under concurrency: the runner's
+	// parallel waves interleave result tuples across blocks and miss
+	// on identical concurrent calls, so hotel misses climb from 15
+	// toward 284 (the paper measured 212).
 	fx2, err := newTravelFixture(simweb.TravelOptions{})
 	if err != nil {
 		return nil, err
@@ -351,7 +352,7 @@ func Multithread(ctx context.Context) (*Report, error) {
 	rep.AddRow("parallel-dispatch makespan", "76s", fmt.Sprintf("%.0fs", par.Makespan.Seconds()))
 	rep.AddRow("hotel calls, one-call cache, multithreaded", "212 (vs 15 sequential)", d0(rres.Stats.Calls["hotel"]))
 	rep.AddNote("parallel makespan ≈ sum of the slowest calls per stage (jittered latencies, log-σ 0.75)")
-	rep.AddNote("the runner's interleaving is scheduler-dependent; the measured degradation varies per run " +
-		"between 15 and 284")
+	rep.AddNote("the runner releases each parallel wave in virtual completion order, so the degradation " +
+		"is the same on every run (bounded by 15 sequential and 284 uncached)")
 	return rep, nil
 }

@@ -580,28 +580,3 @@ func PairParallelPaper(kPrime int, w1, w2 float64) (f1, f2 int) {
 // consumes the first one's output on the same path, t_in2 grows
 // linearly with F1, so the optimum pins F1 = 1 and F2 = ⌈K′⌉.
 func PairSequential(kPrime int) (f1, f2 int) { return 1, kPrime }
-
-// ChunkedWeights returns, for the two chunked nodes, the weights
-// w_i = t_in_i · c_i used by Eq. 6 (per-fetch charge: invocation
-// count times per-call cost). The plan must be annotated.
-func ChunkedWeights(nodes []*plan.Node, metric cost.Metric) []float64 {
-	w := make([]float64, len(nodes))
-	for i, n := range nodes {
-		st := n.Atom.Sig.Statistics()
-		c := st.CostPerCall
-		if _, isTime := metric.(cost.ExecTime); isTime {
-			c = st.ResponseTime.Seconds()
-		}
-		if c <= 0 {
-			c = 1
-		}
-		w[i] = n.Calls * c
-	}
-	return w
-}
-
-// SortNodesByID orders nodes deterministically (helper for callers
-// pairing vectors with nodes).
-func SortNodesByID(nodes []*plan.Node) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-}

@@ -292,16 +292,6 @@ func (s *Signature) Arity() int { return len(s.Attrs) }
 // Pattern returns the i-th feasible access pattern.
 func (s *Signature) Pattern(i int) AccessPattern { return s.Patterns[i] }
 
-// AttrIndex returns the position of the named attribute, or -1.
-func (s *Signature) AttrIndex(name string) int {
-	for i, a := range s.Attrs {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Validate checks structural consistency: non-empty name, at least
 // one pattern, every pattern of the right arity, chunked search
 // services have positive chunk size.

@@ -87,7 +87,8 @@ func (v Value) String() string {
 	case NullValue:
 		return "null"
 	case StringValue:
-		return "'" + v.Str + "'"
+		// An embedded quote is doubled, as the query lexer reads it.
+		return "'" + strings.ReplaceAll(v.Str, "'", "''") + "'"
 	case NumberValue:
 		return strconv.FormatFloat(v.Num, 'g', -1, 64)
 	case DateValue:
@@ -95,6 +96,25 @@ func (v Value) String() string {
 	default:
 		return fmt.Sprintf("Value(%d)", int(v.Kind))
 	}
+}
+
+// FormatRow renders a result row for display, one cell per value:
+// strings unquoted, dates as YYYY-MM-DD, numbers with two decimals
+// and a whole number's ".00" trimmed. mdqrun prints these cells and
+// mdqserve returns them, so both show the same text.
+func FormatRow(row []Value) []string {
+	out := make([]string, len(row))
+	for i, v := range row {
+		switch v.Kind {
+		case StringValue:
+			out[i] = v.Str
+		case DateValue:
+			out[i] = v.Time().Format("2006-01-02")
+		default:
+			out[i] = strings.TrimSuffix(strconv.FormatFloat(v.Num, 'f', 2, 64), ".00")
+		}
+	}
+	return out
 }
 
 // Key returns a compact representation usable as a map key component;

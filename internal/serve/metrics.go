@@ -331,3 +331,48 @@ func (m *Metrics) Handler() http.Handler {
 		fmt.Fprint(w, m.Render())
 	})
 }
+
+// CountingWriter wraps a ResponseWriter and records the status code
+// and body bytes a handler produced, for request metrics. Flush
+// passes through, so streaming handlers keep flushing.
+type CountingWriter struct {
+	http.ResponseWriter
+	status int
+	// Bytes counts the body bytes written.
+	Bytes int64
+}
+
+// WriteHeader records the first status written.
+func (cw *CountingWriter) WriteHeader(status int) {
+	if cw.status == 0 {
+		cw.status = status
+	}
+	cw.ResponseWriter.WriteHeader(status)
+}
+
+// Write counts the body bytes; a body without a prior WriteHeader
+// implies 200.
+func (cw *CountingWriter) Write(p []byte) (int, error) {
+	if cw.status == 0 {
+		cw.status = http.StatusOK
+	}
+	n, err := cw.ResponseWriter.Write(p)
+	cw.Bytes += int64(n)
+	return n, err
+}
+
+// Flush lets streaming handlers keep flushing through the wrapper.
+func (cw *CountingWriter) Flush() {
+	if f, ok := cw.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// Status returns the status the handler produced (200 when it wrote
+// nothing, as net/http answers then).
+func (cw *CountingWriter) Status() int {
+	if cw.status == 0 {
+		return http.StatusOK
+	}
+	return cw.status
+}

@@ -218,20 +218,6 @@ func (o *Observed) apply(st schema.Stats, notify func()) bool {
 	return true
 }
 
-// Drift measures how far the observed statistics have moved from the
-// registered profile: the largest relative deviation across erspi,
-// response time and chunk size (0 when nothing was observed). The
-// executor's feedback policy uses it to refresh only when traffic
-// contradicts the profile enough to matter.
-func (o *Observed) Drift() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.calls == 0 {
-		return 0
-	}
-	return driftBetween(o.observedStatsLocked(), o.inner.Signature().Statistics())
-}
-
 // driftBetween is the largest relative deviation between an observed
 // and a registered statistics snapshot: over the scalar profile
 // (erspi, response time, chunk size) and over the per-attribute value
@@ -291,8 +277,10 @@ type FeedbackPolicy struct {
 	// MinCalls is the number of observed logical invocations required
 	// before a refresh is considered (≤ 1 means every run).
 	MinCalls int64
-	// MinDrift is the relative statistics deviation (see Drift)
-	// required before a refresh is taken; 0 refreshes on any change.
+	// MinDrift is the relative statistics deviation (the largest
+	// relative change across erspi, response time, chunk size and the
+	// value distributions) required before a refresh is taken; 0
+	// refreshes on any change.
 	MinDrift float64
 }
 

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"mdq/internal/card"
-	"mdq/internal/cq"
 	"mdq/internal/exec"
 	"mdq/internal/plan"
 	"mdq/internal/schema"
@@ -348,14 +347,4 @@ func (s *Simulator) Describe() string {
 		mode = "parallel-dispatch"
 	}
 	return fmt.Sprintf("sim(%s, %s)", s.Cache, mode)
-}
-
-// HeadIndex is a convenience for reading result rows by head
-// variable name.
-func HeadIndex(head []cq.Var) map[string]int {
-	m := map[string]int{}
-	for i, v := range head {
-		m[string(v)] = i
-	}
-	return m
 }

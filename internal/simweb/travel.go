@@ -278,15 +278,6 @@ func NewTravelWorld(opts TravelOptions) *TravelWorld {
 	return w
 }
 
-// ResetCounters clears per-service counters and server caches before
-// an experiment run.
-func (w *TravelWorld) ResetCounters() {
-	w.Conf.ResetServerCache()
-	w.Weather.ResetServerCache()
-	w.Flight.ResetServerCache()
-	w.Hotel.ResetServerCache()
-}
-
 func confRows() [][]schema.Value {
 	var rows [][]schema.Value
 	n := 0

@@ -44,9 +44,7 @@ import (
 	"mdq/internal/card"
 	"mdq/internal/cost"
 	"mdq/internal/cq"
-	"mdq/internal/dist"
 	"mdq/internal/exec"
-	"mdq/internal/fetch"
 	"mdq/internal/httpwrap"
 	"mdq/internal/opt"
 	"mdq/internal/plan"
@@ -96,14 +94,6 @@ type (
 	SimResult = sim.Result
 	// OptimizeResult carries the best plan and search statistics.
 	OptimizeResult = opt.Result
-	// Distribution is a per-attribute value distribution (equi-depth
-	// histogram + most-common-value list + distinct count) consulted
-	// by the value-sensitive selectivity estimator.
-	Distribution = schema.Distribution
-	// MCV is one most-common-value entry of a Distribution.
-	MCV = schema.MCV
-	// HistogramBucket is one equi-depth bucket of a Distribution.
-	HistogramBucket = schema.Bucket
 )
 
 // Value constructors and pattern helpers.
@@ -198,11 +188,6 @@ type System struct {
 	// (every value equally likely). Useful for A/B-ing the effect of
 	// histograms; cache keys distinguish the two modes.
 	UniformSelectivity bool
-	// Workers, when non-empty, are the remote optimization workers
-	// DistributedOptimize shards the search across (see NewDistWorker,
-	// DistLocalTransport and DistHTTPTransport). Statistics-epoch
-	// bumps reach their plan caches through StartGossip.
-	Workers []DistTransport
 	// Budget, when non-nil, bounds the next query end to end: the
 	// optimizer checks its deadline during the search, and Execute
 	// carries it into the runner, where every logical service call is
@@ -434,11 +419,6 @@ func NewPlanCacheWith(p PlanCachePolicy) *PlanCache { return opt.NewPlanCacheWit
 // traffic into profile refreshes and cache revalidation.
 func (s *System) ObserveAll() int { return s.registry.ObserveAll() }
 
-// RefreshStats folds all collected observations into the service
-// profiles immediately (ignoring the feedback policy thresholds) and
-// returns how many profiles changed — the manual re-profiling hook.
-func (s *System) RefreshStats() int { return s.registry.RefreshObserved() }
-
 // Epochs snapshots the statistics epoch of every service that has
 // been refreshed at least once.
 func (s *System) Epochs() map[string]uint64 { return s.registry.Epochs() }
@@ -487,17 +467,6 @@ func (s *System) ProfileValues(name string, maxMCVs, maxBuckets int) (int, error
 	return n, nil
 }
 
-// ServiceDistributions returns the per-attribute value distributions
-// currently profiled for a service (nil entries for attributes
-// without statistics), or ok=false for unknown services.
-func (s *System) ServiceDistributions(name string) ([]*Distribution, bool) {
-	svc, ok := s.registry.Lookup(name)
-	if !ok {
-		return nil, false
-	}
-	return svc.Signature().Statistics().Dists, true
-}
-
 // EstimateUniformCost is EstimateCost with the value-sensitive
 // selectivity layer disabled: the cost the plan would be assigned
 // under the paper's uniform model. Comparing it with EstimateCost
@@ -505,35 +474,6 @@ func (s *System) ServiceDistributions(name string) ([]*Distribution, bool) {
 func (s *System) EstimateUniformCost(p *Plan) (planCost, tout float64) {
 	tout = card.Config{Mode: s.Cache, NoValueStats: true}.Annotate(p)
 	return s.Metric.Cost(p), tout
-}
-
-// Cache is a logical result cache (§5.1) that can be shared across
-// executions to continue a query for more answers.
-type Cache = exec.Cache
-
-// NewCache builds a logical cache of the given level.
-func NewCache(mode CacheMode) Cache { return exec.NewCache(mode) }
-
-// ExecuteShared runs a plan with an externally owned cache, so
-// subsequent continuations can reuse every call already made.
-func (s *System) ExecuteShared(ctx context.Context, p *Plan, cache Cache) (*ExecResult, error) {
-	r := &exec.Runner{Registry: s.registry, Cache: s.Cache, K: s.K, SharedCache: cache, Feedback: s.Feedback}
-	return r.Run(ctx, p)
-}
-
-// Continue produces more answers for a previously executed plan
-// (§2.2: "a user can either be satisfied with the first k answers,
-// or ask for more results of the same query"): each chunked node's
-// fetch factor grows by extraFetches and the plan re-runs against
-// the same cache, so only the new fetches reach the services.
-func (s *System) Continue(ctx context.Context, p *Plan, cache Cache, extraFetches int) (*ExecResult, error) {
-	if extraFetches < 1 {
-		extraFetches = 1
-	}
-	for _, n := range p.ChunkedNodes() {
-		n.Fetches += extraFetches
-	}
-	return s.ExecuteShared(ctx, p, cache)
 }
 
 // Simulate executes the plan on the deterministic virtual-time
@@ -591,14 +531,6 @@ func (s *System) BuildPlan(q *Query, asn []AccessPattern, topo *Topology) (*Plan
 	return p, nil
 }
 
-// AssignFetches runs phase 3 alone on a plan: fetch factors for the
-// system's K under its metric.
-func (s *System) AssignFetches(p *Plan) (feasible bool, vector []int, planCost float64) {
-	fa := &fetch.Assigner{Estimator: card.Config{Mode: s.Cache, NoValueStats: s.UniformSelectivity}, Metric: s.Metric, K: s.K}
-	fr := fa.Assign(p)
-	return fr.Feasible, fr.Vector, fr.Cost
-}
-
 // EstimateCost annotates the plan with the system's estimator and
 // returns its cost under the system metric and the expected result
 // size.
@@ -638,168 +570,6 @@ func (s *System) ExpandQuery(q *Query, maxExtra int) (*Query, int, error) {
 	}
 	return opt.Expand(q, sch, maxExtra)
 }
-
-// Distributed optimization & execution surface: a coordinator (this
-// system) shards the branch-and-bound across workers, shares the
-// incumbent bound over the wire, gossips statistics epochs to remote
-// plan caches, and executes winning plans as worker-side fragments
-// with tuple streaming. See internal/dist for the protocol.
-type (
-	// DistWorker executes shard searches against a local registry and
-	// plan cache — the server side of distributed optimization.
-	DistWorker = dist.Worker
-	// DistCoordinator fans searches out over workers and merges the
-	// per-shard winners deterministically.
-	DistCoordinator = dist.Coordinator
-	// DistTransport is a coordinator's handle on one worker.
-	DistTransport = dist.Transport
-	// DistLocalTransport wires an in-process worker (tests, single
-	// binary deployments).
-	DistLocalTransport = dist.LocalTransport
-	// DistHTTPTransport speaks the worker protocol to a remote
-	// mdqworker over HTTP.
-	DistHTTPTransport = dist.HTTPTransport
-	// DistMembership is the health-checked view over a worker set:
-	// probes plus RPC feedback walk each worker through
-	// up/suspect/down, and dispatch skips down workers.
-	DistMembership = dist.Membership
-	// DistRetryPolicy bounds how transiently failed dispatches are
-	// re-attempted (backoff, failover to another worker).
-	DistRetryPolicy = dist.RetryPolicy
-	// DistFaultTransport wraps any transport with deterministic fault
-	// injection — the sanctioned seam for testing failover paths.
-	DistFaultTransport = dist.FaultTransport
-	// EpochBump is one gossiped (service, epoch) invalidation.
-	EpochBump = service.EpochBump
-	// PlanCacheWireEntry is a serialized template cache entry — the
-	// unit of cache persistence (PlanCache.Save/Load) and worker
-	// warmup.
-	PlanCacheWireEntry = opt.TemplateWireEntry
-)
-
-// NewDistWorker builds an in-process optimization worker over this
-// system's registry with a fresh plan cache of the given capacity
-// (<= 0 means 128) — combine with DistLocalTransport to form an
-// in-process cluster, e.g. for tests or to isolate cache pressure per
-// shard inside one binary.
-func (s *System) NewDistWorker(cacheCapacity int) *DistWorker {
-	return dist.NewWorker(s.registry, opt.NewPlanCache(cacheCapacity))
-}
-
-// Coordinator assembles a distributed-optimization coordinator over
-// System.Workers with this system's current settings. Most callers
-// use DistributedOptimize directly; the coordinator is exposed for
-// template-level distributed serving, warmup and gossip control.
-func (s *System) Coordinator() *DistCoordinator {
-	return &dist.Coordinator{
-		Registry:        s.registry,
-		Workers:         s.Workers,
-		Metric:          s.Metric,
-		Mode:            s.Cache,
-		K:               s.K,
-		RevalidateRatio: s.RevalidateRatio,
-	}
-}
-
-// DistributedOptimize shards the three-phase search across
-// System.Workers — each worker searches one congruence-class slice of
-// the assignment space against its own registry and plan cache, with
-// the incumbent bound min-merged between them while they run — and
-// merges the winners deterministically: the returned plan is
-// identical to Optimize's, provided the workers' service statistics
-// agree with this system's. The query must be resolved (Parse does
-// that).
-func (s *System) DistributedOptimize(ctx context.Context, q *Query) (*OptimizeResult, error) {
-	if len(s.Workers) == 0 {
-		return nil, fmt.Errorf("mdq: no distributed workers attached (set System.Workers)")
-	}
-	return s.Coordinator().Optimize(ctx, q)
-}
-
-// DistributedOptimizeBound binds a template and optimizes it through
-// the workers' template-level plan caches: repeated bindings serve
-// re-costed skeletons from the remote caches instead of searching
-// (the distributed analogue of OptimizeBound).
-func (s *System) DistributedOptimizeBound(ctx context.Context, tpl *Template, values map[string]Value) (*Query, *OptimizeResult, error) {
-	if len(s.Workers) == 0 {
-		return nil, nil, fmt.Errorf("mdq: no distributed workers attached (set System.Workers)")
-	}
-	q, err := tpl.Bind(values)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := s.ResolveQuery(q); err != nil {
-		return nil, nil, err
-	}
-	res, err := s.Coordinator().OptimizeTemplate(ctx, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return q, res, nil
-}
-
-// DistributedExecute runs an optimized plan across System.Workers as
-// plan fragments: the plan is partitioned into linear chains, each
-// chain ships — with the tuples flowing into it — to a worker whose
-// registry hosts its services and runs there with the stock executor,
-// streaming its tail tuples back; this system joins the fragment
-// streams, projects the head and truncates at K. The result is
-// tuple-identical to Execute on the same plan (provided worker
-// registries agree with this one). Workers with a feedback policy
-// fold the fragment's traffic into their local profiles, and their
-// epoch bumps flow back through the reverse gossip path.
-func (s *System) DistributedExecute(ctx context.Context, p *Plan) (*ExecResult, error) {
-	if len(s.Workers) == 0 {
-		return nil, fmt.Errorf("mdq: no distributed workers attached (set System.Workers)")
-	}
-	return s.Coordinator().ExecutePlan(ctx, p)
-}
-
-// DistributedAnswer is Answer through the fleet: the search shards
-// across System.Workers (DistributedOptimize) and the winning plan
-// executes as worker-side fragments (DistributedExecute) — the whole
-// pipeline from datalog text to ranked answers without this process
-// invoking a single service itself.
-func (s *System) DistributedAnswer(ctx context.Context, query string) (*ExecResult, *OptimizeResult, error) {
-	q, err := s.Parse(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	ores, err := s.DistributedOptimize(ctx, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := s.DistributedExecute(ctx, ores.Best)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, ores, nil
-}
-
-// StartGossip forwards this registry's statistics-epoch bumps to
-// every attached worker's plan cache until the returned stop function
-// is called — cross-process cache invalidation riding the same epoch
-// wire format local caches subscribe to.
-func (s *System) StartGossip() (stop func()) {
-	return s.Coordinator().GossipLoop(nil)
-}
-
-// WarmWorkers ships this system's plan-cache template entries to
-// every attached worker, so remote caches start warm; it returns how
-// many entries the workers accepted.
-func (s *System) WarmWorkers(ctx context.Context) (int, error) {
-	if s.PlanCache == nil {
-		return 0, nil
-	}
-	return s.Coordinator().WarmWorkers(ctx, s.PlanCache)
-}
-
-// ChainTopology builds a serial topology over atom indexes.
-func ChainTopology(order ...int) *Topology { return plan.Chain(order) }
-
-// LayersTopology builds a layered topology (atoms inside a layer run
-// in parallel).
-func LayersTopology(layers ...[]int) *Topology { return plan.Layers(layers) }
 
 // Milliseconds is a convenience for building latencies.
 func Milliseconds(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
