@@ -4,7 +4,7 @@
 GO ?= go
 BENCH_TOLERANCE ?= 2.5
 
-.PHONY: build vet fmt test race bench benchgate bench-baseline docscheck dist-smoke share-smoke e2e-smoke chaos-smoke load-smoke load-baseline staticcheck ci
+.PHONY: build vet fmt test race race-cpu bench benchgate bench-baseline docscheck dist-smoke share-smoke e2e-smoke chaos-smoke load-smoke load-baseline staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -102,16 +102,33 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it pinned)"; \
 	fi
 
-# Gate BenchmarkOptimize* against the committed baseline: fails when
-# any benchmark runs slower than baseline × BENCH_TOLERANCE.
+# The benchmarks the gate tracks: the whole search on the large random
+# topology and on the running example, phase 3 alone (Figure 8 and a
+# travel-cold-shaped plan) and one cardinality annotation. The search
+# benchmarks run 3 iterations; the microbenchmarks run for the default
+# benchmark time, which steadies their ns/op.
+GATE_SEARCH_BENCH = ^(BenchmarkOptimize|BenchmarkBranchAndBound$$)
+GATE_MICRO_BENCH = ^(BenchmarkFigure8FetchAssignment|BenchmarkEstimatorAnnotate|BenchmarkFetchAssign)$$
+GATE_BENCH_RUN = { $(GO) test -run=NONE -bench='$(GATE_SEARCH_BENCH)' -benchmem -benchtime=3x . && \
+	$(GO) test -run=NONE -bench='$(GATE_MICRO_BENCH)' -benchmem . ; }
+
+# Gate the tracked benchmarks against the committed baseline: fails
+# when any benchmark runs slower than baseline × BENCH_TOLERANCE or
+# allocates more than 1.1 × its baseline allocs/op.
 benchgate:
-	$(GO) test -run=NONE -bench='^BenchmarkOptimize' -benchtime=3x . \
-		| $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json -tolerance $(BENCH_TOLERANCE)
+	$(GATE_BENCH_RUN) | $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json -tolerance $(BENCH_TOLERANCE)
 
-# Refresh the committed baseline (run on the reference machine).
+# Refresh the committed baseline (run on the reference machine; the
+# file records its CPU model and GOMAXPROCS).
 bench-baseline:
-	$(GO) test -run=NONE -bench='^BenchmarkOptimize' -benchtime=3x . \
-		| $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json -update \
-			-note "refreshed via make bench-baseline on $$(uname -m), $$(date +%F)"
+	$(GATE_BENCH_RUN) | $(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json -update \
+		-note "refreshed via make bench-baseline on $$(uname -m), $$(date +%F)"
 
-ci: build vet fmt staticcheck docscheck race dist-smoke share-smoke e2e-smoke chaos-smoke load-smoke bench benchgate
+# The optimizer's results must not depend on the core count: the
+# estimator, phase 3 and the search (golden file, parallel ≡
+# sequential differentials) under the race detector at 1, 2 and 4
+# CPUs.
+race-cpu:
+	$(GO) test -race -cpu 1,2,4 ./internal/card ./internal/fetch ./internal/opt
+
+ci: build vet fmt staticcheck docscheck race race-cpu dist-smoke share-smoke e2e-smoke chaos-smoke load-smoke bench benchgate

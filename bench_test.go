@@ -99,6 +99,42 @@ func BenchmarkFigure8FetchAssignment(b *testing.B) {
 	}
 }
 
+// BenchmarkFetchAssign is phase 3 alone on a plan shaped like a
+// travel-cold request: conf, then flight and hotel in parallel, with
+// FPrice + HPrice < 900, K=20, the execution time metric and the
+// one-call cache. Hotel is called with every field an output, so its
+// city, category and dates filter the returned rows and k lies
+// thousands of fetches away: the search prices about 9k fetch vectors,
+// as the costlier leaves of a travel-cold search do.
+func BenchmarkFetchAssign(b *testing.B) {
+	w := simweb.NewTravelWorld(simweb.TravelOptions{})
+	q, err := cq.Parse("q(Conf, FPrice, Hotel) :- conf('DB', Conf, Start, End, City), " +
+		"flight('Milano', City, Start, End, OT, RT, FPrice), hotel(Hotel, City, 'luxury', Start, End, HPrice), " +
+		"FPrice + HPrice < 900 {0.2}.")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := q.Resolve(w.Schema); err != nil {
+		b.Fatal(err)
+	}
+	asn := abind.Assignment{schema.MustPattern("ioooo"), schema.MustPattern("iiiiooo"), schema.MustPattern("oooooo")}
+	p, err := plan.Build(q, asn, plan.Layers([][]int{{0}, {1, 2}}), plan.Options{ChooseMethod: w.Registry.MethodChooser()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fa := &fetch.Assigner{Estimator: card.Config{Mode: card.OneCall}, Metric: cost.ExecTime{}, K: 20}
+	b.ResetTimer()
+	explored := 0
+	for i := 0; i < b.N; i++ {
+		fr := fa.Assign(p)
+		if !fr.Feasible {
+			b.Fatal("infeasible")
+		}
+		explored = fr.Explored
+	}
+	b.ReportMetric(float64(explored), "vectors/op")
+}
+
 // BenchmarkBranchAndBound is the full three-phase optimization of
 // the running example (the paper's core algorithm).
 func BenchmarkBranchAndBound(b *testing.B) {

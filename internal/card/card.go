@@ -25,7 +25,6 @@ package card
 import (
 	"fmt"
 	"log"
-	"math"
 	"sync/atomic"
 
 	"mdq/internal/cq"
@@ -77,13 +76,14 @@ func ModeByName(name string) (CacheMode, bool) {
 	}
 }
 
-// Config parameterizes the estimator. It is a pure value: Annotate
-// writes only into the plan it is passed (cardinality fields and the
-// plan's private ancestor cache), never into the Config, the query
-// or the signatures — so one Config may annotate distinct plans from
-// many goroutines concurrently, which the parallel optimizer relies
-// on. A custom DefaultSelectivity function must be pure for the same
-// reason. Two goroutines must not annotate the same *plan.Plan.
+// Config parameterizes the estimator. It is a pure value: Compile and
+// Annotate write only into the plan they are passed (cardinality
+// fields and the plan's private ancestor cache), never into the
+// Config, the query or the signatures — so one Config may annotate
+// distinct plans from many goroutines concurrently, which the
+// parallel optimizer relies on. A custom DefaultSelectivity function
+// must be pure for the same reason. Two goroutines must not annotate
+// the same *plan.Plan.
 type Config struct {
 	Mode CacheMode
 	// DefaultSelectivity supplies σp for predicates without an
@@ -182,55 +182,11 @@ func (c Config) JoinSelectivity(n *plan.Node) float64 {
 
 // Annotate fills TIn, Calls and TOut on every node of the plan, in
 // topological order. It returns the estimated overall result size
-// t_out of the plan (the Output node's t_out).
+// t_out of the plan (the Output node's t_out). It is Compile followed
+// by one (*Compiled).Annotate; callers that price many fetch vectors
+// of one plan compile once and annotate per vector.
 func (c Config) Annotate(p *plan.Plan) float64 {
-	order := p.TopoNodes()
-	for _, n := range order {
-		switch n.Kind {
-		case plan.Input:
-			// The user always injects one single input tuple (§3.4).
-			n.TIn, n.Calls, n.TOut = 1, 1, 1
-		case plan.Output:
-			n.TIn = n.In[0].TOut
-			n.Calls = 0
-			n.TOut = n.TIn
-		case plan.Join:
-			l, r := n.In[0], n.In[1]
-			n.TIn = l.TOut + r.TOut
-			n.Calls = 0
-			n.TOut = joinOut(p, n, l, r) * c.PredSelectivityIn(p.Query, n.JoinPreds) * c.equiJoinSelectivity(p, l, r)
-		case plan.Service:
-			n.TIn = n.In[0].TOut
-			n.Calls = c.calls(p, n)
-			boundSel := c.boundOutputSelectivity(p, n)
-			predSel := c.PredSelectivityIn(p.Query, n.Preds)
-			if n.Chunked() {
-				// t_out = cs · F per input tuple (§3.4), filtered by
-				// local predicates and bound-output selections. The
-				// fetch schedule, not erspi, sizes chunked results, so
-				// the per-value input factor does not apply.
-				cs := float64(n.Atom.Sig.Statistics().ChunkSize)
-				n.TOut = n.TIn * cs * float64(n.Fetches) * predSel * boundSel
-			} else {
-				n.TOut = n.TIn * n.Atom.Sig.Statistics().ERSPI * c.valueERSPIFactor(n) * predSel * boundSel
-			}
-		}
-	}
-	return p.OutputNode().TOut
-}
-
-// joinOut computes the size of the lineage-aware Cartesian product
-// of two branches. The paper's formula t_out = t_out_l · t_out_m
-// (§3.4) assumes the branches are independent; when they fork from a
-// common ancestor (the usual case for parallel joins) the product is
-// taken per lineage group: t_out_l · t_out_r / t_out_fork.
-func joinOut(p *plan.Plan, n, l, r *plan.Node) float64 {
-	fork := forkNode(p, l, r)
-	base := 1.0
-	if fork != nil && fork.TOut > 0 {
-		base = fork.TOut
-	}
-	return l.TOut * r.TOut / base
+	return c.Compile(p).Annotate()
 }
 
 // boundOutputSelectivity charges the implicit selections performed
@@ -247,22 +203,10 @@ func joinOut(p *plan.Plan, n, l, r *plan.Node) float64 {
 // This is what makes "call hotel with no inputs, then look for
 // conferences in the hotel's city" correctly expensive: conf's
 // erspi applies to a topic query, and the city equality must then be
-// paid as a 1/V(City) filter.
-func (c Config) boundOutputSelectivity(p *plan.Plan, n *plan.Node) float64 {
-	if n.Kind != plan.Service {
-		return 1
-	}
-	var upstream cq.VarSet
-	if len(n.In) > 0 {
-		upstream = p.AvailableVars(n.In[0])
-	} else {
-		upstream = cq.VarSet{}
-	}
+// paid as a 1/V(City) filter. n is a service node, upstream the
+// variables bound before it and st its statistics snapshot.
+func (c Config) boundOutputSelectivity(n *plan.Node, upstream cq.VarSet, st schema.Stats) float64 {
 	sel := 1.0
-	var st schema.Stats
-	if n.Atom.Sig != nil {
-		st = n.Atom.Sig.Statistics()
-	}
 	factor := func(pos int, cv schema.Value, isConst bool) float64 {
 		sig := n.Atom.Sig
 		if sig != nil {
@@ -298,30 +242,25 @@ func (c Config) boundOutputSelectivity(p *plan.Plan, n *plan.Node) float64 {
 }
 
 // equiJoinSelectivity accounts for variables bound independently on
-// both branches of a parallel join. Variables bound at or before the
-// fork node flow identically into both branches (the lineage
+// both branches of a parallel join, given the variables available
+// after each branch and after their fork node. Variables bound at or
+// before the fork flow identically into both branches (the lineage
 // equi-join, selectivity 1); a variable first bound on each branch
 // separately is a genuine value join, estimated System-R style as
 // 1/max(V(X)) from the abstract domain's distinct count (§2.2's
 // uniformity assumptions), falling back to the histogram's distinct
 // estimate when the domain size is unknown, and finally to the
-// explicit uniform fallback (logged once).
-func (c Config) equiJoinSelectivity(p *plan.Plan, l, r *plan.Node) float64 {
-	fork := forkNode(p, l, r)
-	forkVars := cq.VarSet{}
-	if fork != nil {
-		forkVars = p.AvailableVars(fork)
-	}
-	lVars := p.AvailableVars(l)
-	rVars := p.AvailableVars(r)
+// explicit uniform fallback (logged once). Variables are visited in
+// sorted order, so the product rounds the same way on every run.
+func (c Config) equiJoinSelectivity(q *cq.Query, lVars, rVars, forkVars cq.VarSet) float64 {
 	sel := 1.0
-	for x := range lVars {
+	for _, x := range lVars.Sorted() {
 		if !rVars.Has(x) || forkVars.Has(x) {
 			continue
 		}
-		if d := queryVarDomain(p.Query, x); d > 0 {
+		if d := queryVarDomain(q, x); d > 0 {
 			sel /= d
-		} else if dd := valueJoinDistribution(c, p.Query, x); dd != nil {
+		} else if dd := valueJoinDistribution(c, q, x); dd != nil {
 			sel /= dd.Distinct
 		} else {
 			sel *= c.uniformFallback("value equi-join on " + string(x))
@@ -369,111 +308,6 @@ func forkNode(p *plan.Plan, l, r *plan.Node) *plan.Node {
 		}
 	}
 	return best
-}
-
-// calls estimates the number of invocations of a service node under
-// the configured caching model.
-func (c Config) calls(p *plan.Plan, n *plan.Node) float64 {
-	switch c.Mode {
-	case NoCache:
-		return n.TIn
-	case OneCall:
-		return math.Min(n.TIn, c.blockBound(p, n, false))
-	case Optimal:
-		return math.Min(n.TIn, c.blockBound(p, n, true))
-	default:
-		return n.TIn
-	}
-}
-
-// blockBound implements Eq. 2: t_in(n) = ∏_{m ∈ N(n)} ξ_m·t_in_m,
-// where N(n) contains, for each input variable X of n, the node with
-// minimal t_out among those lying on a path from a producer of X to
-// n. Because tuples from proliferative services flow in contiguous
-// blocks with constant values for non-dependent fields, the number
-// of distinct consecutive input combinations — and hence of calls
-// under the one-call cache — is bounded by the product of those
-// minima (§5.2).
-//
-// With capDomain set (optimal cache) each variable's contribution is
-// additionally capped by the estimated number of distinct values of
-// its abstract domain.
-func (c Config) blockBound(p *plan.Plan, n *plan.Node, capDomain bool) float64 {
-	anc := p.Ancestors(n)
-	minimizers := map[int]float64{} // node ID → contribution
-	domCap := 1.0
-	hasDomCap := false
-	for x := range n.InputVars() {
-		m, ok := minContributor(p, anc, n, x)
-		if !ok {
-			// Variable bound by a constant elsewhere or not produced:
-			// contributes nothing.
-			continue
-		}
-		minimizers[m.ID] = m.TOut
-		if capDomain {
-			if d := varDomainSize(n, x); d > 0 {
-				domCap *= d
-				hasDomCap = true
-			} else {
-				hasDomCap = false
-				domCap = math.Inf(1)
-			}
-		}
-	}
-	bound := 1.0
-	for _, v := range minimizers {
-		bound *= v
-	}
-	if capDomain && hasDomCap {
-		bound = math.Min(bound, domCap)
-	}
-	return bound
-}
-
-// minContributor finds, for input variable x of n, the ancestor node
-// with minimal t_out among nodes on a path from a producer of x to n
-// (the producer itself included). Ties prefer the deeper node, which
-// collapses more variables onto the same minimizer.
-func minContributor(p *plan.Plan, anc map[int]bool, n *plan.Node, x cq.Var) (*plan.Node, bool) {
-	// Producers: ancestor service nodes with x in output position.
-	var producers []*plan.Node
-	for id := range anc {
-		m := p.Nodes[id]
-		if m.Kind == plan.Service && m.OutputVars().Has(x) {
-			producers = append(producers, m)
-		}
-	}
-	if len(producers) == 0 {
-		return nil, false
-	}
-	// Candidates: ancestors of n that are a producer or a descendant
-	// of a producer.
-	var best *plan.Node
-	bestDepth := -1
-	for id := range anc {
-		m := p.Nodes[id]
-		if m.Kind == plan.Input {
-			continue
-		}
-		onPath := false
-		mAnc := p.Ancestors(m)
-		for _, prod := range producers {
-			if prod.ID == m.ID || mAnc[prod.ID] {
-				onPath = true
-				break
-			}
-		}
-		if !onPath {
-			continue
-		}
-		d := len(mAnc)
-		if best == nil || m.TOut < best.TOut || (m.TOut == best.TOut && d > bestDepth) {
-			best = m
-			bestDepth = d
-		}
-	}
-	return best, best != nil
 }
 
 // varDomainSize returns the estimated distinct-value count of the

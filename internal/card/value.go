@@ -208,12 +208,12 @@ func (c Config) PredSelectivityIn(q *cq.Query, preds []*cq.Predicate) float64 {
 // every input value yields ξ tuples on average, but a profiled input
 // distribution prices binding v as freq(v)·V — above 1 for common
 // values, below 1 for rare ones. This is what makes two bindings of
-// one template legitimately diverge in cost.
-func (c Config) valueERSPIFactor(n *plan.Node) float64 {
+// one template legitimately diverge in cost. st is the node's
+// statistics snapshot.
+func (c Config) valueERSPIFactor(n *plan.Node, st schema.Stats) float64 {
 	if c.NoValueStats || n.Kind != plan.Service || n.Atom == nil || n.Atom.Sig == nil {
 		return 1
 	}
-	st := n.Atom.Sig.Statistics()
 	f := 1.0
 	for _, pos := range n.Pattern.Inputs() {
 		t := n.Atom.Terms[pos]

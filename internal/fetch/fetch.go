@@ -95,13 +95,13 @@ func (a *Assigner) maxExplore() int {
 	return a.MaxExplore
 }
 
-// setVector installs a fetch vector and re-annotates, returning the
-// estimated result size.
-func (a *Assigner) setVector(p *plan.Plan, nodes []*plan.Node, v []int) float64 {
+// setVector installs a fetch vector and re-annotates the compiled
+// plan, returning the estimated result size.
+func setVector(cp *card.Compiled, nodes []*plan.Node, v []int) float64 {
 	for i, n := range nodes {
 		n.Fetches = v[i]
 	}
-	return a.Estimator.Annotate(p)
+	return cp.Annotate()
 }
 
 // maxFetchBound caps any fetching factor: beyond it a plan is
@@ -122,7 +122,9 @@ func capFor(n *plan.Node) int {
 // configured metric and installs it (mutating the plan's chunked
 // nodes and annotations). If the plan has no chunked service the
 // plan is annotated and returned as trivially feasible when its
-// estimated output reaches k.
+// estimated output reaches k. The plan is compiled once (see
+// card.Compiled) and every fetch vector is priced against that one
+// compilation.
 func (a *Assigner) Assign(p *plan.Plan) Result {
 	nodes := p.ChunkedNodes()
 	if len(nodes) == 0 {
@@ -135,13 +137,14 @@ func (a *Assigner) Assign(p *plan.Plan) Result {
 		}
 	}
 
+	cp := a.Estimator.Compile(p)
 	// §4.3.2: if the all-ones vector already yields k results it is
 	// optimal (costs are monotone in every factor).
 	ones := make([]int, len(nodes))
 	for i := range ones {
 		ones[i] = 1
 	}
-	tout := a.setVector(p, nodes, ones)
+	tout := setVector(cp, nodes, ones)
 	if tout >= float64(a.K) {
 		return Result{Feasible: true, Vector: ones, TOut: tout, Cost: a.metric().Cost(p), Explored: 1}
 	}
@@ -152,9 +155,9 @@ func (a *Assigner) Assign(p *plan.Plan) Result {
 	for i, n := range nodes {
 		capVec[i] = capFor(n)
 	}
-	if a.setVector(p, nodes, capVec) < float64(a.K) {
+	if setVector(cp, nodes, capVec) < float64(a.K) {
 		best := a.maxVector(nodes)
-		tout := a.setVector(p, nodes, best)
+		tout := setVector(cp, nodes, best)
 		return Result{Feasible: false, Vector: best, TOut: tout, Cost: a.metric().Cost(p), Explored: 2}
 	}
 
@@ -163,21 +166,21 @@ func (a *Assigner) Assign(p *plan.Plan) Result {
 	var explored int
 	switch a.Heuristic {
 	case Square:
-		init, explored = a.square(p, nodes)
+		init, explored = a.square(cp, nodes)
 	default:
-		init, explored = a.greedy(p, nodes)
+		init, explored = a.greedy(p, cp, nodes)
 	}
 	if init == nil {
 		// Decay caps make k unreachable (§4.3.2: "small upper bounds
 		// determined by decays may sometimes even mean that k answers
 		// can never be reached").
 		best := a.maxVector(nodes)
-		tout := a.setVector(p, nodes, best)
+		tout := setVector(cp, nodes, best)
 		return Result{Feasible: false, Vector: best, TOut: tout, Cost: a.metric().Cost(p), Explored: explored}
 	}
 
-	best, cost0, visited := a.explore(p, nodes, init)
-	tout = a.setVector(p, nodes, best)
+	best, cost0, visited := a.explore(p, cp, nodes, init)
+	tout = setVector(cp, nodes, best)
 	return Result{
 		Feasible: true,
 		Vector:   best,
@@ -205,13 +208,13 @@ func (a *Assigner) maxVector(nodes []*plan.Node) []int {
 // increment the factor with the highest marginal tuples-per-cost
 // gain until the estimated output reaches k. Returns nil if capped
 // out before reaching k.
-func (a *Assigner) greedy(p *plan.Plan, nodes []*plan.Node) ([]int, int) {
+func (a *Assigner) greedy(p *plan.Plan, cp *card.Compiled, nodes []*plan.Node) ([]int, int) {
 	v := make([]int, len(nodes))
 	for i := range v {
 		v[i] = 1
 	}
 	explored := 1
-	tout := a.setVector(p, nodes, v)
+	tout := setVector(cp, nodes, v)
 	curCost := a.metric().Cost(p)
 	// step accelerates geometrically when k is far away (the paper's
 	// unit increments are kept while the target is near), so the
@@ -220,7 +223,7 @@ func (a *Assigner) greedy(p *plan.Plan, nodes []*plan.Node) ([]int, int) {
 	step := 1
 	for tout < float64(a.K) {
 		if explored > a.maxExplore() {
-			a.setVector(p, nodes, v)
+			setVector(cp, nodes, v)
 			return nil, explored
 		}
 		bestIdx := -1
@@ -235,7 +238,7 @@ func (a *Assigner) greedy(p *plan.Plan, nodes []*plan.Node) ([]int, int) {
 				continue
 			}
 			v[i] += inc
-			t := a.setVector(p, nodes, v)
+			t := setVector(cp, nodes, v)
 			c := a.metric().Cost(p)
 			explored++
 			dc := c - curCost
@@ -250,7 +253,7 @@ func (a *Assigner) greedy(p *plan.Plan, nodes []*plan.Node) ([]int, int) {
 			v[i] -= inc
 		}
 		if bestIdx < 0 {
-			a.setVector(p, nodes, v)
+			setVector(cp, nodes, v)
 			return nil, explored
 		}
 		inc := step
@@ -271,7 +274,7 @@ func (a *Assigner) greedy(p *plan.Plan, nodes []*plan.Node) ([]int, int) {
 // square implements "square is better" (§4.3.1): all factors grow
 // together so that F_i·cs_i (tuples explored per service) stays
 // roughly equal across chunked services.
-func (a *Assigner) square(p *plan.Plan, nodes []*plan.Node) ([]int, int) {
+func (a *Assigner) square(cp *card.Compiled, nodes []*plan.Node) ([]int, int) {
 	minChunk := math.MaxInt
 	for _, n := range nodes {
 		if cs := n.Atom.Sig.Statistics().ChunkSize; cs < minChunk {
@@ -296,7 +299,7 @@ func (a *Assigner) square(p *plan.Plan, nodes []*plan.Node) ([]int, int) {
 			}
 			v[i] = f
 		}
-		tout := a.setVector(p, nodes, v)
+		tout := setVector(cp, nodes, v)
 		explored++
 		if tout >= float64(a.K) {
 			return v, explored
@@ -327,10 +330,10 @@ func (a *Assigner) square(p *plan.Plan, nodes []*plan.Node) ([]int, int) {
 // geometric grid is used (documented approximation — real top-k
 // workloads have fetch factors far below the threshold, and the
 // brute-force comparison tests stay in the exact regime).
-func (a *Assigner) explore(p *plan.Plan, nodes []*plan.Node, init []int) ([]int, float64, int) {
+func (a *Assigner) explore(p *plan.Plan, cp *card.Compiled, nodes []*plan.Node, init []int) ([]int, float64, int) {
 	metric := a.metric()
 	best := append([]int(nil), init...)
-	a.setVector(p, nodes, best)
+	setVector(cp, nodes, best)
 	bestCost := metric.Cost(p)
 	visited := 0
 
@@ -350,7 +353,7 @@ func (a *Assigner) explore(p *plan.Plan, nodes []*plan.Node, init []int) ([]int,
 			v[j] = 1
 		}
 		lim := capFor(n)
-		f, ok := a.minFeasible(p, nodes, v, i, lim)
+		f, ok := a.minFeasible(cp, nodes, v, i, lim)
 		visited += bitsFor(lim)
 		if !ok {
 			f = lim
@@ -377,13 +380,13 @@ func (a *Assigner) explore(p *plan.Plan, nodes []*plan.Node, init []int) ([]int,
 		}
 		idx := order[oi]
 		if oi == len(order)-1 {
-			f, ok := a.minFeasible(p, nodes, v, idx, capFor(nodes[idx]))
+			f, ok := a.minFeasible(cp, nodes, v, idx, capFor(nodes[idx]))
 			visited += bitsFor(capFor(nodes[idx]))
 			if !ok {
 				return
 			}
 			v[idx] = f
-			a.setVector(p, nodes, v)
+			setVector(cp, nodes, v)
 			c := metric.Cost(p)
 			if c < bestCost || (c == bestCost && lexLess(v, best)) {
 				bestCost = c
@@ -395,7 +398,7 @@ func (a *Assigner) explore(p *plan.Plan, nodes []*plan.Node, init []int) ([]int,
 			v[idx] = f
 			setRest(order, oi+1, 1)
 			visited++
-			feas := a.setVector(p, nodes, v) >= float64(a.K)
+			feas := setVector(cp, nodes, v) >= float64(a.K)
 			if metric.Cost(p) > bestCost {
 				// Optimistic completion already too expensive; larger
 				// f only costs more.
@@ -444,11 +447,11 @@ func candidateValues(max int) []int {
 
 // minFeasible binary-searches the minimal value of coordinate idx
 // (others already set in v) reaching k, up to lim.
-func (a *Assigner) minFeasible(p *plan.Plan, nodes []*plan.Node, v []int, idx, lim int) (int, bool) {
+func (a *Assigner) minFeasible(cp *card.Compiled, nodes []*plan.Node, v []int, idx, lim int) (int, bool) {
 	lo, hi := 1, 1
 	for {
 		v[idx] = hi
-		if a.setVector(p, nodes, v) >= float64(a.K) {
+		if setVector(cp, nodes, v) >= float64(a.K) {
 			break
 		}
 		if hi >= lim {
@@ -463,7 +466,7 @@ func (a *Assigner) minFeasible(p *plan.Plan, nodes []*plan.Node, v []int, idx, l
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		v[idx] = mid
-		if a.setVector(p, nodes, v) >= float64(a.K) {
+		if setVector(cp, nodes, v) >= float64(a.K) {
 			hi = mid
 		} else {
 			lo = mid + 1

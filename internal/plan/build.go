@@ -160,6 +160,7 @@ func Build(q *cq.Query, asn abind.Assignment, topo *Topology, opts Options) (*Pl
 	}
 
 	placePredicates(p)
+	p.paths = p.walkPaths()
 	return p, nil
 }
 

@@ -155,6 +155,10 @@ type Plan struct {
 	// anc caches per-node ancestor sets; the graph is immutable
 	// after Build, only annotations and fetch factors change.
 	anc []map[int]bool
+	// paths holds the Input-to-Output paths, computed eagerly by
+	// Build and Clone so that metrics read a shared plan without
+	// writing to it.
+	paths [][]*Node
 }
 
 // InputNode returns the unique start node.
@@ -213,6 +217,16 @@ func (p *Plan) Clone() *Plan {
 	for i, n := range p.ServiceNode {
 		c.ServiceNode[i] = c.Nodes[n.ID]
 	}
+	if p.paths != nil {
+		c.paths = make([][]*Node, len(p.paths))
+		for i, path := range p.paths {
+			cp := make([]*Node, len(path))
+			for j, n := range path {
+				cp[j] = c.Nodes[n.ID]
+			}
+			c.paths[i] = cp
+		}
+	}
 	return c
 }
 
@@ -249,8 +263,18 @@ func (p *Plan) TopoNodes() []*Node {
 }
 
 // Paths enumerates all simple node paths from Input to Output. The
-// execution time metric maximizes over these (Eq. 4).
+// execution time metric maximizes over these (Eq. 4). Plans from
+// Build and Clone return their precomputed paths, which callers must
+// not mutate.
 func (p *Plan) Paths() [][]*Node {
+	if p.paths != nil {
+		return p.paths
+	}
+	return p.walkPaths()
+}
+
+// walkPaths enumerates the paths by depth-first search.
+func (p *Plan) walkPaths() [][]*Node {
 	var (
 		paths [][]*Node
 		walk  func(n *Node, acc []*Node)
